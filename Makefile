@@ -6,7 +6,7 @@ GO ?= go
 COVER_MIN ?= 80
 COVER_PKGS ?= ./internal/pipeline ./internal/dsp ./internal/detect
 
-.PHONY: build vet lint lint-deep test race short bench bench-go bench-json benchdiff cover fuzz daemon-smoke ci
+.PHONY: build vet lint lint-deep test race short bench bench-go bench-json benchdiff cover fuzz daemon-smoke perfbench-build ci
 
 build:
 	$(GO) build ./...
@@ -99,4 +99,10 @@ daemon-smoke:
 		-run 'TestSmokeConcurrentRoomsBitIdentical|TestIngestDrainNoFrameLoss|TestDaemonSIGTERMDrain' \
 		./internal/service ./cmd/rfprotectd
 
-ci: lint-deep build race cover fuzz benchdiff daemon-smoke
+# perfbench is a module of its own (replace rfprotect => ../), so
+# `go build ./...` at the root never compiles it: vet it explicitly so an
+# API change under internal/ cannot silently break the benchmark.
+perfbench-build:
+	cd perfbench && $(GO) vet ./...
+
+ci: lint-deep build perfbench-build race cover fuzz benchdiff daemon-smoke

@@ -278,63 +278,38 @@ func streamingSession(b *testing.B) *core.Session {
 	return sess
 }
 
+// capturePipeline assembles the eavesdropper's capture-and-track chain over
+// nFrames of sc: the planned front end with every buffer recycled, then a
+// tracker.
+func capturePipeline(sc *scene.Scene, nFrames int) *pipeline.Pipeline {
+	pools := pipeline.NewPools(sc.Params)
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
+	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), pipeline.NewTrack(radar.TrackerConfig{}))
+	src := sc.Stream(0, nFrames, rand.New(rand.NewSource(1))).UsePool(pools.Frames)
+	return pipeline.New(src, stages...).UsePools(pools)
+}
+
 // BenchmarkStreamingCaptureTrack measures the streaming pipeline end to end
 // — synthesize, background-subtract, profile, detect, track, one frame in
-// flight — against the batch path over the same 32-frame capture. Outputs
-// are bit-identical (see internal/pipeline); only cost and footprint differ.
+// flight, every buffer recycled — over a 32-frame capture, sequentially and
+// with the stage-overlapped scheduler. Outputs are bit-identical (see
+// internal/pipeline); only cost differs.
 func BenchmarkStreamingCaptureTrack(b *testing.B) {
 	const nFrames = 32
-	sess := streamingSession(b)
-	sc := sess.Scene
-	b.Run("streaming", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pr := radar.NewProcessor(radar.DefaultConfig())
-			trk := pipeline.NewTrack(radar.TrackerConfig{})
-			stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
-			rng := rand.New(rand.NewSource(1))
-			if _, err := pipeline.New(sc.Stream(0, nFrames, rng), stages...).Run(nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The pooled variant of the same chain: frames come from a FramePool,
-	// profiles from a ProfilePool, and the pipeline recycles both after an
-	// item's last stage. Detections and tracks are bit-identical (see
-	// internal/pipeline's pooled equivalence tests); -benchmem shows the
-	// allocs/op drop.
+	sc := streamingSession(b).Scene
 	b.Run("streaming-pooled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pr := radar.NewProcessor(radar.DefaultConfig())
-			pools := pipeline.NewPools(sc.Params)
-			trk := pipeline.NewTrack(radar.TrackerConfig{})
-			stages := append(pipeline.FrontEndStagesPooled(pr, sc.Radar, pools), trk)
-			rng := rand.New(rand.NewSource(1))
-			src := sc.Stream(0, nFrames, rng).UsePool(pools.Frames)
-			if _, err := pipeline.New(src, stages...).UsePools(pools).Run(nil); err != nil {
+			if _, err := capturePipeline(sc, nFrames).Run(nil); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pr := radar.NewProcessor(radar.DefaultConfig())
-			rng := rand.New(rand.NewSource(1))
-			frames := sc.Capture(0, nFrames, rng)
-			radar.TrackDetections(radar.TrackerConfig{}, pr.ProcessFrames(frames, sc.Radar))
 		}
 	})
 	// Stage-overlapped scheduler over the same chain: each stage in its own
-	// goroutine, bounded channels of the given depth, output bit-identical
-	// to the sequential run.
+	// goroutine, bounded channels of the given depth.
 	for _, depth := range []int{1, 4} {
 		b.Run(fmt.Sprintf("concurrent-depth-%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pr := radar.NewProcessor(radar.DefaultConfig())
-				trk := pipeline.NewTrack(radar.TrackerConfig{})
-				stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
-				rng := rand.New(rand.NewSource(1))
-				p := pipeline.New(sc.Stream(0, nFrames, rng), stages...)
-				if _, err := p.RunConcurrent(context.Background(), depth); err != nil {
+				if _, err := capturePipeline(sc, nFrames).RunConcurrent(context.Background(), depth); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -351,18 +326,22 @@ func BenchmarkDopplerStage(b *testing.B) {
 	sc := sess.Scene
 	rng := rand.New(rand.NewSource(1))
 	frame := sc.FrameAt(0, rng)
-	dop := pipeline.NewDoppler(radar.NewProcessor(radar.DefaultConfig()), 8, 0)
+	pool := radar.NewDopplerPool()
+	dop := pipeline.NewDopplerPlanned(radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params), 8, 0, pool)
 	ctx := context.Background()
-	for i := 0; i < 8; i++ {
-		if err := dop.Process(ctx, &pipeline.Item{Index: i, Frame: frame}); err != nil {
+	step := func(i int) {
+		it := &pipeline.Item{Index: i, Frame: frame}
+		if err := dop.Process(ctx, it); err != nil {
 			b.Fatal(err)
 		}
+		pool.Put(it.RangeDoppler)
+	}
+	for i := 0; i < 8; i++ {
+		step(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := dop.Process(ctx, &pipeline.Item{Index: 8 + i, Frame: frame}); err != nil {
-			b.Fatal(err)
-		}
+		step(8 + i)
 	}
 }
 
@@ -375,10 +354,7 @@ func BenchmarkStreamingCancellation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		pr := radar.NewProcessor(radar.DefaultConfig())
-		rng := rand.New(rand.NewSource(1))
-		p := pipeline.New(sc.Stream(0, -1, rng), pipeline.FrontEndStages(pr, sc.Radar)...)
-		if _, err := p.Run(ctx); !errors.Is(err, context.Canceled) {
+		if _, err := capturePipeline(sc, -1).Run(ctx); !errors.Is(err, context.Canceled) {
 			b.Fatalf("Run = %v, want context.Canceled", err)
 		}
 	}

@@ -69,9 +69,8 @@ type Result struct {
 	AllocsExact bool `json:"allocs_exact,omitempty"`
 }
 
-// StreamResult is one capture-and-track run — streaming, concurrent,
-// pooled, or batch — with its throughput, allocation rate, and
-// retained-heap footprint.
+// StreamResult is one capture-and-track run — sequential or concurrent —
+// with its throughput, allocation rate, and retained-heap footprint.
 type StreamResult struct {
 	Name           string  `json:"name"`
 	Frames         int     `json:"frames"`
@@ -93,10 +92,9 @@ type Snapshot struct {
 	Quick      bool               `json:"quick,omitempty"`
 	Results    []Result           `json:"results"`
 	Speedups   map[string]float64 `json:"speedups"`
-	// Streaming holds the streaming-vs-batch comparison at two capture
-	// lengths: the streaming rows' peak heap stays flat as frames grow,
-	// the batch rows' grows linearly, and the pooled rows' allocs/frame
-	// drop to the detection/tracking residue.
+	// Streaming holds the capture-and-track rows at two capture lengths:
+	// peak heap stays flat as frames grow, and allocs/frame fall towards
+	// the tracking residue as start-up is amortized.
 	Streaming []StreamResult `json:"streaming,omitempty"`
 }
 
@@ -427,11 +425,10 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	})
 	add("pipeline_run_item_pooled", 1, itemS, true)
 
-	// Streaming vs batch: the same eavesdropper capture-and-track workload
-	// run through the bounded-memory pipeline (one frame in flight), the
-	// stage-overlapped scheduler, the pooled pipeline (recycled frame,
-	// profile, and Doppler buffers), and the batch path (all frames
-	// materialized). Two capture lengths expose the memory asymptotics.
+	// Streaming: the eavesdropper capture-and-track workload on the planned
+	// front end, every buffer recycled, run by the stage-overlapped
+	// scheduler and by the sequential one. Two capture lengths show the
+	// flat memory and the share of per-frame cost that is start-up.
 	addStream := func(name string, frames int, r streamSample) {
 		snap.Streaming = append(snap.Streaming, StreamResult{
 			Name:           name,
@@ -447,25 +444,16 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 			name, frames, r.ns, 1e9/r.ns, r.allocs, float64(r.peak)/(1<<20))
 	}
 	for _, n := range streamLens {
-		s := captureRun(seed, n, modeStreaming)
-		addStream("streaming_capture_track", n, s)
-		c := captureRun(seed, n, modeConcurrent)
+		c := captureRun(seed, n, true)
 		addStream("streaming_capture_track_concurrent", n, c)
-		p := captureRun(seed, n, modePooled)
+		p := captureRun(seed, n, false)
 		addStream("streaming_capture_track_pooled", n, p)
 		if n == streamLens[len(streamLens)-1] {
 			// Stage-overlap speedup of the ≥2-stage chain at the longest
 			// capture; near 1× on a single CPU, above it once stages can
-			// genuinely run on different cores. The pooled ratio is the
-			// allocation story instead: how much per-frame garbage the
-			// buffer-recycling path eliminates.
-			snap.Speedups["concurrent_pipeline"] = s.ns / c.ns
-			if p.allocs > 0 {
-				snap.Speedups["pooled_allocs_reduction"] = s.allocs / p.allocs
-			}
+			// genuinely run on different cores.
+			snap.Speedups["concurrent_pipeline"] = p.ns / c.ns
 		}
-		b := captureRun(seed, n, modeBatch)
-		addStream("batch_capture_track", n, b)
 	}
 
 	// Sliding-window Doppler: steady-state per-frame cost of the K-frame
@@ -534,17 +522,6 @@ func writeSnapshot(path string, snap *Snapshot) {
 	}
 }
 
-// captureRun modes: the sequential streaming pipeline, the stage-overlapped
-// concurrent scheduler (goroutine per stage, bounded channels), the pooled
-// pipeline (same sequential chain with recycled frame/profile buffers), and
-// the batch path.
-const (
-	modeStreaming = iota
-	modeConcurrent
-	modePooled
-	modeBatch
-)
-
 // streamSample is one capture-and-track measurement: per-frame wall time
 // and allocation cost, plus the heap retained at the end of the run.
 type streamSample struct {
@@ -556,9 +533,10 @@ type streamSample struct {
 
 // captureRun measures one eavesdropper session — synthesize nFrames of a
 // home with a programmed ghost, range-angle process, track — through the
-// selected path. All paths produce bit-identical tracks; only cost and
-// footprint differ.
-func captureRun(seed int64, nFrames int, mode int) streamSample {
+// planned front end with every buffer recycled, run sequentially or with
+// the stage-overlapped scheduler. Both produce bit-identical tracks; only
+// cost differs.
+func captureRun(seed int64, nFrames int, concurrent bool) streamSample {
 	sess, err := core.NewSession(core.SessionConfig{Room: scene.HomeRoom()})
 	if err != nil {
 		fatal("session", err)
@@ -574,52 +552,32 @@ func captureRun(seed int64, nFrames int, mode int) streamSample {
 		fatal("ghost", err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	pr := radar.NewProcessor(radar.DefaultConfig())
 
 	runtime.GC()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	var tracks []*radar.Track
-	var frames []*fmcw.Frame
-	switch mode {
-	case modeStreaming, modeConcurrent:
-		trk := pipeline.NewTrack(radar.TrackerConfig{})
-		stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
-		p := pipeline.New(sc.Stream(0, nFrames, rng), stages...)
-		var err error
-		if mode == modeConcurrent {
-			_, err = p.RunConcurrent(context.Background(), 2)
-		} else {
-			_, err = p.Run(nil)
-		}
-		if err != nil {
-			fatal("pipeline", err)
-		}
-		tracks = trk.Tracks()
-	case modePooled:
-		pools := pipeline.NewPools(sc.Params)
-		trk := pipeline.NewTrack(radar.TrackerConfig{})
-		stages := append(pipeline.FrontEndStagesPooled(pr, sc.Radar, pools), trk)
-		src := sc.Stream(0, nFrames, rng).UsePool(pools.Frames)
-		if _, err := pipeline.New(src, stages...).UsePools(pools).Run(nil); err != nil {
-			fatal("pooled pipeline", err)
-		}
-		tracks = trk.Tracks()
-	default:
-		frames = sc.Capture(0, nFrames, rng)
-		tracks = radar.TrackDetections(radar.TrackerConfig{}, pr.ProcessFrames(frames, sc.Radar))
+	pools := pipeline.NewPools(sc.Params)
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
+	trk := pipeline.NewTrack(radar.TrackerConfig{})
+	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
+	p := pipeline.New(sc.Stream(0, nFrames, rng).UsePool(pools.Frames), stages...).UsePools(pools)
+	if concurrent {
+		_, err = p.RunConcurrent(context.Background(), 2)
+	} else {
+		_, err = p.Run(nil)
+	}
+	if err != nil {
+		fatal("pipeline", err)
 	}
 	elapsed := time.Since(start)
 	// Collect transient garbage first so the reading is the heap the run
-	// actually holds on to — the batch path's frames are still referenced
-	// here, the streaming path never kept any. (Mallocs/TotalAlloc are
-	// monotonic, so the forced GC doesn't disturb the per-frame rates.)
+	// actually holds on to. (Mallocs/TotalAlloc are monotonic, so the
+	// forced GC doesn't disturb the per-frame rates.)
 	runtime.GC()
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
-	runtime.KeepAlive(frames)
-	runtime.KeepAlive(tracks)
+	runtime.KeepAlive(trk)
 	r := streamSample{
 		ns:     float64(elapsed.Nanoseconds()) / float64(nFrames),
 		allocs: float64(m1.Mallocs-m0.Mallocs) / float64(nFrames),
@@ -646,7 +604,7 @@ func dopplerStageRun(seed int64) func() {
 	cfg := radar.DefaultConfig()
 	cfg.Workers = 1
 	dpool := radar.NewDopplerPool()
-	dop := pipeline.NewDopplerPooled(radar.NewProcessor(cfg), 8, 0, dpool)
+	dop := pipeline.NewDopplerPlanned(radar.PlanFrontEnd(cfg, params), 8, 0, dpool)
 	ctx := context.Background()
 	it := &pipeline.Item{Frame: frame}
 	i := 0

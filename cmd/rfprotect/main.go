@@ -86,10 +86,11 @@ func main() {
 	// and ctrl-C-style cancellation would stop the capture cleanly.
 	n := int(*duration * params.FrameRate)
 	fmt.Printf("capturing %d frames (%.1f s at %.0f Hz)...\n", n, *duration, params.FrameRate)
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	pools := pipeline.NewPools(sc.Params)
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
 	trk := pipeline.NewTrack(radar.TrackerConfig{})
-	stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
-	p := pipeline.New(sc.Stream(0, n, rng), stages...)
+	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
+	p := pipeline.New(sc.Stream(0, n, rng).UsePool(pools.Frames), stages...).UsePools(pools)
 	if *concurrent {
 		// Opt-in stage overlap: each stage in its own goroutine, delivery
 		// order and tracks bit-identical to the sequential run.

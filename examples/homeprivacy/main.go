@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -14,6 +15,7 @@ import (
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
 	"rfprotect/internal/motion"
+	"rfprotect/internal/pipeline"
 	"rfprotect/internal/privacy"
 	"rfprotect/internal/radar"
 	"rfprotect/internal/scene"
@@ -67,11 +69,15 @@ func main() {
 			}
 		}
 
-		frames := sc.Capture(0, int(5*params.FrameRate), rng)
-		pr := radar.NewProcessor(radar.DefaultConfig())
-		tracks := radar.TrackDetections(radar.TrackerConfig{},
-			pr.ProcessFrames(frames, sc.Radar))
-		tracks = radar.FilterHumanTracks(tracks, params.FrameRate)
+		pools := pipeline.NewPools(sc.Params)
+		plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
+		trk := pipeline.NewTrack(radar.TrackerConfig{})
+		stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
+		src := sc.Stream(0, int(5*params.FrameRate), rng).UsePool(pools.Frames)
+		if _, err := pipeline.New(src, stages...).UsePools(pools).Run(context.Background()); err != nil {
+			panic(err)
+		}
+		tracks := radar.FilterHumanTracks(trk.Tracks(), params.FrameRate)
 		fmt.Printf("%8d  %4d  %6d  %18d\n", s, nReal, nGhost, len(tracks))
 		totalReal += nReal
 		totalSeen += len(tracks)

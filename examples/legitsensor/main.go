@@ -6,11 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"rfprotect/internal/core"
 	"rfprotect/internal/geom"
+	"rfprotect/internal/pipeline"
 	"rfprotect/internal/radar"
 	"rfprotect/internal/reflector"
 	"rfprotect/internal/scene"
@@ -42,9 +44,14 @@ func main() {
 	}
 
 	rng := rand.New(rand.NewSource(3))
-	frames := sc.Capture(0, n, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	tracks := radar.TrackDetections(radar.TrackerConfig{}, pr.ProcessFrames(frames, sc.Radar))
+	pools := pipeline.NewPools(sc.Params)
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
+	trk := pipeline.NewTrack(radar.TrackerConfig{})
+	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
+	if _, err := pipeline.New(sc.Stream(0, n, rng).UsePool(pools.Frames), stages...).UsePools(pools).Run(context.Background()); err != nil {
+		panic(err)
+	}
+	tracks := trk.Tracks()
 
 	fmt.Printf("eavesdropper: %d tracks, no way to tell real from fake\n", len(tracks))
 	for _, t := range tracks {

@@ -54,16 +54,17 @@ func main() {
 
 	// 4. The eavesdropper watches 3 seconds through the streaming pipeline:
 	//    each frame is synthesized, processed, and dropped before the next —
-	//    memory stays flat no matter how long it listens, and the tracks are
-	//    bit-identical to a batch Capture + ProcessFrames + TrackDetections.
-	//    With -concurrent, each stage runs in its own goroutine connected by
-	//    bounded channels — the output is bit-identical either way.
+	//    memory stays flat no matter how long it listens, and every buffer is
+	//    recycled through the pools. With -concurrent, each stage runs in its
+	//    own goroutine connected by bounded channels — the output is
+	//    bit-identical either way.
 	nFrames := int(3 * sc.Params.FrameRate)
 	rng := rand.New(rand.NewSource(42))
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	pools := pipeline.NewPools(sc.Params)
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
 	trk := pipeline.NewTrack(radar.TrackerConfig{})
-	stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
-	p := pipeline.New(sc.Stream(0, nFrames, rng), stages...)
+	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
+	p := pipeline.New(sc.Stream(0, nFrames, rng).UsePool(pools.Frames), stages...).UsePools(pools)
 	if *concurrent {
 		_, err = p.RunConcurrent(context.Background(), 2)
 	} else {

@@ -152,8 +152,7 @@ func TestLegitSensorFiltersGhost(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	frames := sc.Capture(0, n, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq := pr.ProcessFrames(frames, sc.Radar)
+	detSeq := referenceDetections(frames, sc.Radar)
 	tracks := radar.TrackDetections(radar.TrackerConfig{}, detSeq)
 	if len(tracks) < 2 {
 		t.Fatalf("eavesdropper sees %d tracks, want >= 2 (human + ghost)", len(tracks))
@@ -191,4 +190,16 @@ func TestLegitSensorKeepsUnmatchedTracks(t *testing.T) {
 	if len(ghosts) != 0 || len(humans) != 1 {
 		t.Fatal("track with no disclosures must be kept")
 	}
+}
+
+// referenceDetections is the per-frame reference front end: successive-frame
+// background subtraction with Frame.Sub, then RangeAngle and Detect on fresh
+// buffers, one detection set per frame after the first.
+func referenceDetections(frames []*fmcw.Frame, array fmcw.Array) [][]radar.Detection {
+	pr := radar.NewProcessor(radar.DefaultConfig())
+	var out [][]radar.Detection
+	for i := 1; i < len(frames); i++ {
+		out = append(out, pr.Detect(pr.RangeAngle(frames[i].Sub(frames[i-1])), array))
+	}
+	return out
 }

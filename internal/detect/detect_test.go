@@ -139,13 +139,14 @@ func scoreHumanCapture(t *testing.T, workers int) TrackScore {
 	sc.Humans = append(sc.Humans, scene.NewHuman(traj, 1))
 	cfg := radar.DefaultConfig()
 	cfg.Workers = workers
-	pr := radar.NewProcessor(cfg)
+	plan := radar.PlanFrontEnd(cfg, sc.Params)
+	pools := pipeline.NewPools(sc.Params)
 	trkStage := pipeline.NewTrackWithVelocity(radar.TrackerConfig{KeepVelocityHistory: true}, sc.Radar)
 	scorer := NewTrackScorer(Config{}, sc.Radar)
-	stages := pipeline.FrontEndStages(pr, sc.Radar)
-	stages = append(stages, pipeline.NewDoppler(pr, 8, 0), trkStage, &scoreStage{sc: scorer, trk: trkStage})
-	rng := rand.New(rand.NewSource(11))
-	if _, err := pipeline.New(sc.Stream(0, 50, rng), stages...).Run(nil); err != nil {
+	stages := pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools)
+	stages = append(stages, pipeline.NewDopplerPlanned(plan, 8, 0, pools.Doppler), trkStage, &scoreStage{sc: scorer, trk: trkStage})
+	src := sc.Stream(0, 50, rand.New(rand.NewSource(11))).UsePool(pools.Frames)
+	if _, err := pipeline.New(src, stages...).UsePools(pools).Run(nil); err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
 	var best *radar.Track

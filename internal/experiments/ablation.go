@@ -98,17 +98,12 @@ func AblationCtx(ctx context.Context, seed int64) (AblationResult, error) {
 			return res, err
 		}
 		rng := rand.New(rand.NewSource(parallel.SplitSeed(seed, 2)))
-		frames, err := sc.CaptureCtx(ctx, 0, 20, rng)
+		maxDets := 0
+		err = streamFrontEnd(ctx, sc, 0, 20, rng, detectionsAt(func(_ float64, dets []radar.Detection) {
+			maxDets = max(maxDets, len(dets))
+		}))
 		if err != nil {
 			return res, err
-		}
-		pr := radar.NewProcessor(radar.DefaultConfig())
-		dets := pr.ProcessFrames(frames, sc.Radar)
-		maxDets := 0
-		for _, d := range dets {
-			if len(d) > maxDets {
-				maxDets = len(d)
-			}
 		}
 		if ssb {
 			res.DetectionsSSB = maxDets
@@ -144,8 +139,7 @@ func peakPowerOfHuman(params fmcw.Params, seed int64) (float64, error) {
 	rng := rand.New(rand.NewSource(seed))
 	f0 := sc.FrameAt(0, rng)
 	f1 := sc.FrameAt(0.3, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	prof := pr.RangeAngle(radar.BackgroundSubtract(f1, f0))
+	prof := radar.NewProcessor(radar.DefaultConfig()).RangeAngle(f1.Sub(f0))
 	return maxOf(prof.Power), nil
 }
 
@@ -165,8 +159,7 @@ func peakPowerOfGhost(params fmcw.Params, mode reflector.AmplitudeMode, seed int
 	rng := rand.New(rand.NewSource(seed))
 	f0 := sc.FrameAt(0, rng)
 	f1 := sc.FrameAt(0.3, rng)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	prof := pr.RangeAngle(radar.BackgroundSubtract(f1, f0))
+	prof := radar.NewProcessor(radar.DefaultConfig()).RangeAngle(f1.Sub(f0))
 	return maxOf(prof.Power), nil
 }
 

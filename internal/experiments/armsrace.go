@@ -153,16 +153,16 @@ func armsraceTraj(seed int64, i int, radarPos geom.Point) geom.Trajectory {
 // sliding-window Doppler, velocity-attaching tracker, spoof scorer — and
 // returns the verdict on the capture's dominant track.
 func captureScore(ctx context.Context, sc *scene.Scene, rng *rand.Rand) (detect.TrackScore, bool, error) {
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	pools := pipeline.NewPools(sc.Params)
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
 	trkStage := pipeline.NewTrackWithVelocity(radar.TrackerConfig{KeepVelocityHistory: true}, sc.Radar)
 	scorer := detect.NewTrackScorer(detect.Config{}, sc.Radar)
-	stages := pipeline.FrontEndStages(pr, sc.Radar)
-	stages = append(stages,
-		pipeline.NewDoppler(pr, armsraceWindow, 0),
+	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools),
+		pipeline.NewDopplerPlanned(plan, armsraceWindow, 0, pools.Doppler),
 		trkStage,
 		&scoreStage{sc: scorer, trk: trkStage},
 	)
-	pipe := pipeline.New(sc.Stream(0, armsraceFrames, rng), stages...)
+	pipe := pipeline.New(sc.Stream(0, armsraceFrames, rng).UsePool(pools.Frames), stages...).UsePools(pools)
 	if _, err := pipe.Run(ctx); err != nil {
 		return detect.TrackScore{}, false, err
 	}
@@ -361,19 +361,17 @@ func replayArm(ctx context.Context, sz Sizes, seed int64, res *ArmsRaceResult) e
 // dominant moving detection by nearest-neighbor continuity, and reduces the
 // series to its chirp-to-chirp jitter score.
 func captureJitter(ctx context.Context, sc *scene.Scene, nFrames int, rng *rand.Rand) (float64, bool, error) {
-	frames, err := sc.CaptureCtx(ctx, 0, nFrames, rng)
-	if err != nil {
-		return 0, false, err
-	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
 	var ranges []float64
 	last := math.NaN()
-	for f, dets := range pr.ProcessFrames(frames, sc.Radar) {
-		// The first frame only seeds the background subtraction; its
-		// "detections" are unsubtracted clutter and would mis-seed the
-		// continuity gate.
-		if f == 0 {
-			continue
+	first := true
+	err := streamFrontEnd(ctx, sc, 0, nFrames, rng, detectionsAt(func(_ float64, dets []radar.Detection) {
+		// The first detection set comes from a real difference frame
+		// (frame 1 − frame 0), not clutter. It is skipped only so that the
+		// series starts where it always has and the jitter scores, and
+		// with them the armsrace outputs, stay bit-identical.
+		if first {
+			first = false
+			return
 		}
 		bestR, bestP, found := 0.0, 0.0, false
 		for _, d := range dets {
@@ -388,6 +386,9 @@ func captureJitter(ctx context.Context, sc *scene.Scene, nFrames int, rng *rand.
 			ranges = append(ranges, bestR)
 			last = bestR
 		}
+	}))
+	if err != nil {
+		return 0, false, err
 	}
 	if len(ranges) < 8 {
 		return 0, false, nil

@@ -57,9 +57,8 @@ func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 		if err != nil {
 			return res, err
 		}
-		pr := radar.NewProcessor(radar.DefaultConfig())
-		prof, err := pr.RangeAngleCtx(ctx, radar.BackgroundSubtract(f1, f0))
-		if err != nil {
+		prof := &radar.Profile{}
+		if err := radar.PlanFrontEnd(radar.DefaultConfig(), params).RangeAngleInto(ctx, f1.Sub(f0), prof); err != nil {
 			return res, err
 		}
 		res.HumanProfile = prof
@@ -84,9 +83,8 @@ func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 		if err != nil {
 			return res, err
 		}
-		pr := radar.NewProcessor(radar.DefaultConfig())
-		prof, err := pr.RangeAngleCtx(ctx, radar.BackgroundSubtract(f1, f0))
-		if err != nil {
+		prof := &radar.Profile{}
+		if err := radar.PlanFrontEnd(radar.DefaultConfig(), params).RangeAngleInto(ctx, f1.Sub(f0), prof); err != nil {
 			return res, err
 		}
 		res.GhostProfile = prof

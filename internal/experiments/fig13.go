@@ -9,6 +9,7 @@ import (
 	"rfprotect/internal/core"
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
+	"rfprotect/internal/pipeline"
 	"rfprotect/internal/radar"
 	"rfprotect/internal/reflector"
 	"rfprotect/internal/scene"
@@ -60,14 +61,11 @@ func Fig13Ctx(ctx context.Context, seed int64) (Fig13Result, error) {
 	res.HumanTrajectory = human
 	res.GhostTrajectory = ghost
 
-	rng := rand.New(rand.NewSource(seed))
-	frames, err := sc.CaptureCtx(ctx, 0, n, rng)
-	if err != nil {
+	trk := pipeline.NewTrack(radar.TrackerConfig{})
+	if err := streamFrontEnd(ctx, sc, 0, n, rand.New(rand.NewSource(seed)), trk); err != nil {
 		return res, err
 	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq := pr.ProcessFrames(frames, sc.Radar)
-	tracks := radar.TrackDetections(radar.TrackerConfig{}, detSeq)
+	tracks := trk.Tracks()
 	res.EavesdropperTracks = len(tracks)
 
 	legit := core.NewLegitSensor(tagCfg, sc.Radar)

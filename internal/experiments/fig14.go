@@ -9,6 +9,7 @@ import (
 	"rfprotect/internal/core"
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
+	"rfprotect/internal/pipeline"
 	"rfprotect/internal/radar"
 	"rfprotect/internal/scene"
 )
@@ -59,18 +60,18 @@ func Fig14Ctx(ctx context.Context, seed int64) (Fig14Result, error) {
 		return res, err
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	nFrames := int(duration * params.FrameRate)
-	frames, err := sc.CaptureCtx(ctx, 0, nFrames, rng)
-	if err != nil {
+	// One stream feeds both vital-sign monitors, frame by frame.
+	humanDist := sc.Radar.DistanceOf(humanPos)
+	ghostDist := sc.Radar.DistanceOf(tagCfg.AntennaPosition(ghostAntenna)) + ghostExtra
+	humanStage := pipeline.NewBreathingPhase(radar.BreathingExtractor{}, humanDist)
+	ghostStage := pipeline.NewBreathingPhase(radar.BreathingExtractor{}, ghostDist)
+	pools := pipeline.NewPools(sc.Params)
+	src := sc.Stream(0, int(duration*params.FrameRate), rand.New(rand.NewSource(seed))).UsePool(pools.Frames)
+	if _, err := pipeline.New(src, humanStage, ghostStage).UsePools(pools).Run(ctx); err != nil {
 		return res, err
 	}
-
-	ex := radar.BreathingExtractor{}
-	humanDist := sc.Radar.DistanceOf(humanPos)
-	times, humanPhase := ex.PhaseSeries(frames, humanDist)
-	ghostDist := sc.Radar.DistanceOf(tagCfg.AntennaPosition(ghostAntenna)) + ghostExtra
-	_, ghostPhase := ex.PhaseSeries(frames, ghostDist)
+	times, humanPhase := humanStage.Series()
+	_, ghostPhase := ghostStage.Series()
 
 	res.Times = times
 	res.HumanPhase = humanPhase

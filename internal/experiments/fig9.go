@@ -61,18 +61,12 @@ func Fig9Ctx(ctx context.Context, seed int64) (Fig9Result, error) {
 			human := scene.NewHuman(sh.traj, params.FrameRate)
 			sc.Humans = []*scene.Human{human}
 			rng := rand.New(rand.NewSource(parallel.SplitSeed(seed, i)))
-			frames, err := sc.CaptureCtx(ctx, 0, len(sh.traj), rng)
-			if err != nil {
-				return err
-			}
-			pr := radar.NewProcessor(radar.DefaultConfig())
-			detSeq := pr.ProcessFrames(frames, sc.Radar)
 			// Per-frame evaluation against the subject's true position at each
 			// capture instant (the red ground-truth dots of Fig. 9).
 			var detected geom.Trajectory
 			var errs []float64
-			for fi, dets := range detSeq {
-				truth := human.PositionAt(frames[fi+1].Time)
+			err := streamFrontEnd(ctx, sc, 0, len(sh.traj), rng, detectionsAt(func(t float64, dets []radar.Detection) {
+				truth := human.PositionAt(t)
 				best, bestD := -1, 1.0
 				for di, d := range dets {
 					if e := d.Pos.Dist(truth); e < bestD {
@@ -83,6 +77,9 @@ func Fig9Ctx(ctx context.Context, seed int64) (Fig9Result, error) {
 					detected = append(detected, dets[best].Pos)
 					errs = append(errs, bestD)
 				}
+			}))
+			if err != nil {
+				return err
 			}
 			if len(detected) == 0 {
 				return fmt.Errorf("fig9: no detections recovered for %s", sh.name)

@@ -85,27 +85,16 @@ func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 	}
 
 	// The two radars' capture-and-process chains are independent (separate
-	// scenes, separate seeded rngs, separate processors — the Processor's
-	// steering cache is mutable), so they run as parallel tasks.
-	var framesA []*fmcw.Frame
-	var detsA, detsB [][]radar.Detection
+	// scenes, separate seeded rngs, separate pools over the shared plan), so
+	// they run as parallel tasks. Each keeps a copy of every frame's
+	// detections with its capture time for the cross-radar comparison.
+	var detsA, detsB timedDetections
 	g := parallel.NewGroup(0)
 	g.GoCtx(ctx, func() error {
-		var err error
-		framesA, err = scA.CaptureCtx(ctx, 0, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, 0))))
-		if err != nil {
-			return err
-		}
-		detsA = radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(framesA, scA.Radar)
-		return nil
+		return streamFrontEnd(ctx, scA, 0, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, 0))), detsA.collect())
 	})
 	g.GoCtx(ctx, func() error {
-		framesB, err := scB.CaptureCtx(ctx, 0, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, 1))))
-		if err != nil {
-			return err
-		}
-		detsB = radar.NewProcessor(radar.DefaultConfig()).ProcessFrames(framesB, scB.Radar)
-		return nil
+		return streamFrontEnd(ctx, scB, 0, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, 1))), detsB.collect())
 	})
 	if err := g.Wait(); err != nil {
 		return res, err
@@ -114,7 +103,7 @@ func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 	// Cross-radar consistency per frame: nearest detection to each entity's
 	// apparent position at each radar, then the disagreement between the
 	// two radars' world-position estimates.
-	humanDis := crossRadarDisagreement(detsA, detsB, framesA, func(t float64) geom.Point {
+	humanDis := crossRadarDisagreement(detsA, detsB, func(t float64) geom.Point {
 		return hum.PositionAt(t)
 	}, func(t float64) geom.Point {
 		return hum.PositionAt(t)
@@ -130,7 +119,7 @@ func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 	ghostAtB := func(t float64) geom.Point {
 		return expectedGhostAt(rec, tagCfg, scB.Radar, t)
 	}
-	ghostDis := crossRadarDisagreement(detsA, detsB, framesA, ghostAtA, ghostAtB)
+	ghostDis := crossRadarDisagreement(detsA, detsB, ghostAtA, ghostAtB)
 
 	res.HumanDisagreement = humanDis
 	res.GhostDisagreement = ghostDis
@@ -154,21 +143,35 @@ func expectedGhostAt(rec reflector.GhostRecord, cfg reflector.Config, arr fmcw.A
 	return arr.PointAt(arr.DistanceOf(p)+e.ExtraDistance, arr.AoAOf(p))
 }
 
+// timedDetections is one radar's capture: every background-subtracted
+// frame's capture time and a copy of its detections.
+type timedDetections struct {
+	times []float64
+	dets  [][]radar.Detection
+}
+
+// collect returns the evaluation stage that fills td.
+func (td *timedDetections) collect() detectionsAt {
+	return func(t float64, dets []radar.Detection) {
+		td.times = append(td.times, t)
+		td.dets = append(td.dets, append([]radar.Detection(nil), dets...))
+	}
+}
+
 // crossRadarDisagreement matches, per frame, the detection nearest the
 // entity's apparent position at each radar and returns the mean distance
 // between the two radars' matched world positions.
-func crossRadarDisagreement(detsA, detsB [][]radar.Detection, frames []*fmcw.Frame,
-	posAtA, posAtB func(float64) geom.Point) float64 {
+func crossRadarDisagreement(a, b timedDetections, posAtA, posAtB func(float64) geom.Point) float64 {
 	sum, count := 0.0, 0
-	for i := range detsA {
-		if i >= len(detsB) {
+	for i := range a.dets {
+		if i >= len(b.dets) {
 			break
 		}
-		t := frames[i+1].Time
-		a, okA := nearestDetection(detsA[i], posAtA(t), 1.0)
-		b, okB := nearestDetection(detsB[i], posAtB(t), 1.0)
+		t := a.times[i]
+		pa, okA := nearestDetection(a.dets[i], posAtA(t), 1.0)
+		pb, okB := nearestDetection(b.dets[i], posAtB(t), 1.0)
 		if okA && okB {
-			sum += a.Dist(b)
+			sum += pa.Dist(pb)
 			count++
 		}
 	}

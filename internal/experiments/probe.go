@@ -94,19 +94,13 @@ func ProbeCtx(ctx context.Context, seed int64) (ProbeResult, error) {
 // ghostVisible checks that a spoofed reflection shows up within tol meters
 // of the expected range in a background-subtracted capture.
 func ghostVisible(ctx context.Context, sc *scene.Scene, wantDist, tol float64, rng *rand.Rand) (bool, error) {
-	frames, err := sc.CaptureCtx(ctx, 0.2, 10, rng)
-	if err != nil {
-		return false, err
-	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	for _, dets := range pr.ProcessFrames(frames, sc.Radar) {
+	seen := false
+	err := streamFrontEnd(ctx, sc, 0.2, 10, rng, detectionsAt(func(_ float64, dets []radar.Detection) {
 		for _, d := range dets {
-			if math.Abs(d.Range-wantDist) < tol {
-				return true, nil
-			}
+			seen = seen || math.Abs(d.Range-wantDist) < tol
 		}
-	}
-	return false, nil
+	}))
+	return seen, err
 }
 
 // Print renders the probe comparison.

@@ -16,6 +16,7 @@ import (
 	"rfprotect/internal/gan"
 	"rfprotect/internal/geom"
 	"rfprotect/internal/motion"
+	"rfprotect/internal/pipeline"
 	"rfprotect/internal/radar"
 	"rfprotect/internal/reflector"
 	"rfprotect/internal/scene"
@@ -133,18 +134,11 @@ func (e *Env) MeasureGhostCtx(ctx context.Context, traj geom.Trajectory, fs floa
 		return out, err
 	}
 	nFrames := int(float64(len(traj)-1)/fs*e.Scene.Params.FrameRate) + 1
-	frames, err := e.Scene.CaptureCtx(ctx, 0, nFrames, rng)
-	if err != nil {
-		return out, err
-	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	detSeq := pr.ProcessFrames(frames, e.Scene.Radar)
 	expect := rec.ExpectedObservation(e.Tag.Config(), e.Scene.Radar)
-	for i, dets := range detSeq {
-		ti := frames[i+1].Time
+	err = streamFrontEnd(ctx, e.Scene, 0, nFrames, rng, detectionsAt(func(ti float64, dets []radar.Detection) {
 		idx := int((ti - rec.Start) / rec.Tick)
 		if idx < 0 || idx >= len(expect) {
-			continue
+			return
 		}
 		want := expect[idx]
 		bestD := 0.6
@@ -159,12 +153,42 @@ func (e *Env) MeasureGhostCtx(ctx context.Context, traj geom.Trajectory, fs floa
 			out.Expected = append(out.Expected, want)
 			out.Requested = append(out.Requested, sampleTraj(traj, fs, ti))
 		}
+	}))
+	if err != nil {
+		return GhostMeasurement{}, err
 	}
 	// The paper's pipeline performs "smoothing over time and peak
 	// rejection" (§9.1) before extracting trajectories; apply the same
 	// median + moving-average smoothing the tracker uses.
 	out.Measured = smoothTrajectory(out.Measured)
 	return out, nil
+}
+
+// streamFrontEnd streams n frames of sc, the first at t0, through the
+// planned eavesdropper front end — background subtraction, range FFT and
+// beamforming, peak detection over the shared plan for the scene's shape —
+// followed by the given stages, recycling every buffer. Every frame is
+// synthesized, so rng advances exactly as a full capture would advance it.
+func streamFrontEnd(ctx context.Context, sc *scene.Scene, t0 float64, n int, rng *rand.Rand, stages ...pipeline.Stage) error {
+	pools := pipeline.NewPools(sc.Params)
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
+	chain := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), stages...)
+	_, err := pipeline.New(sc.Stream(t0, n, rng).UsePool(pools.Frames), chain...).UsePools(pools).Run(ctx)
+	return err
+}
+
+// detectionsAt is an evaluation stage: it calls fn with the capture time
+// and detections of every background-subtracted frame. The detections are
+// recycled once fn returns, so fn copies whatever it keeps.
+type detectionsAt func(t float64, dets []radar.Detection)
+
+func (detectionsAt) Name() string { return "evaluate" }
+
+func (fn detectionsAt) Process(_ context.Context, it *pipeline.Item) error {
+	if it.HasDets {
+		fn(it.Frame.Time, it.Detections)
+	}
+	return nil
 }
 
 // smoothTrajectory median-filters and lightly averages each axis.

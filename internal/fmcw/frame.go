@@ -351,8 +351,8 @@ func (d *Differencer) getFrame(p Params, at float64) *Frame {
 
 // Step consumes the next frame and returns its background-subtracted
 // difference against the previous one. The first frame only seeds the
-// history: Step returns (nil, false) for it, matching the batch pipeline
-// where frame 0 contributes no detection set. The returned frame is owned
+// history: Step returns (nil, false) for it, so frame 0 contributes no
+// detection set. The returned frame is owned
 // by the caller; in pooled mode it must eventually go back to the pool.
 func (d *Differencer) Step(f *Frame) (*Frame, bool) {
 	if d.prev == nil {

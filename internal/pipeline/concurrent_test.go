@@ -19,48 +19,32 @@ import (
 // gathered so the sequential and concurrent runs can be compared field by
 // field.
 type chainOutputs struct {
-	frames     int
-	dets       [][]radar.Detection
-	profiles   []*radar.Profile
-	tracks     []*radar.Track
-	times      []float64
-	phase      []float64
-	dopplerMap *radar.RangeDopplerMap
-}
-
-// dopplerCollector keeps the last range–Doppler map seen (maps are
-// recomputed every frame once the window fills; the last one summarizes the
-// capture for equivalence checks).
-type dopplerCollector struct {
-	last *radar.RangeDopplerMap
-}
-
-func (c *dopplerCollector) Name() string { return "collect-doppler" }
-
-func (c *dopplerCollector) Process(ctx context.Context, it *Item) error {
-	if it.RangeDoppler != nil {
-		c.last = it.RangeDoppler
-	}
-	return nil
+	frames   int
+	dets     [][]radar.Detection
+	profiles [][]float64
+	tracks   []*radar.Track
+	times    []float64
+	phase    []float64
+	doppler  []float64
 }
 
 // runChain executes the full eavesdropper chain — front end, Doppler,
-// velocity-aware tracking, breathing, collectors — over a fresh capture of
-// nFrames, sequentially (depth == 0) or concurrently with the given channel
-// depth.
+// velocity-aware tracking, breathing, collectors — over a fresh pooled
+// capture of nFrames, sequentially (depth == 0) or concurrently with the
+// given channel depth.
 func runChain(t *testing.T, nFrames, depth int) chainOutputs {
 	t.Helper()
 	s := testSession(t)
 	breathDist := s.Scene.Radar.DistanceOf(s.Tag.Config().AntennaPosition(1))
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	profsC := NewCollectProfiles()
+	fe, pools, plan := frontEnd(s.Scene, 0)
+	profsC := &profileCopies{}
 	detsC := NewCollectDetections()
-	dopC := &dopplerCollector{}
+	dopC := &dopplerCopies{}
 	trk := NewTrackWithVelocity(radar.TrackerConfig{}, s.Scene.Radar)
 	breath := NewBreathingPhase(radar.BreathingExtractor{}, breathDist)
-	stages := append(FrontEndStages(pr, s.Scene.Radar),
-		NewDoppler(pr, 8, 0), profsC, detsC, dopC, trk, breath)
-	p := New(s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(17))), stages...)
+	stages := append(fe, NewDopplerPlanned(plan, 8, 0, pools.Doppler), profsC, detsC, dopC, trk, breath)
+	src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(17))).UsePool(pools.Frames)
+	p := New(src, stages...).UsePools(pools)
 	var n int
 	var err error
 	if depth == 0 {
@@ -73,13 +57,13 @@ func runChain(t *testing.T, nFrames, depth int) chainOutputs {
 	}
 	times, phase := breath.Series()
 	return chainOutputs{
-		frames:     n,
-		dets:       detsC.Detections(),
-		profiles:   profsC.Profiles(),
-		tracks:     trk.Tracks(),
-		times:      times,
-		phase:      phase,
-		dopplerMap: dopC.last,
+		frames:   n,
+		dets:     detsC.Detections(),
+		profiles: profsC.power,
+		tracks:   trk.Tracks(),
+		times:    times,
+		phase:    phase,
+		doppler:  dopC.last,
 	}
 }
 
@@ -109,32 +93,16 @@ func TestConcurrentEquivalentToSequential(t *testing.T) {
 				if !reflect.DeepEqual(got.dets, want.dets) {
 					t.Fatal("detection sequences differ from sequential run")
 				}
-				if len(got.profiles) != len(want.profiles) {
-					t.Fatalf("profile count %d != %d", len(got.profiles), len(want.profiles))
+				if !reflect.DeepEqual(got.profiles, want.profiles) {
+					t.Fatal("profiles differ from sequential run")
 				}
-				for i := range want.profiles {
-					if !reflect.DeepEqual(got.profiles[i].Power, want.profiles[i].Power) {
-						t.Fatalf("profile %d differs from sequential run", i)
-					}
-				}
-				if len(got.tracks) != len(want.tracks) {
-					t.Fatalf("track count %d != %d", len(got.tracks), len(want.tracks))
-				}
-				for i := range want.tracks {
-					w, g := want.tracks[i], got.tracks[i]
-					if g.ID != w.ID || g.Confirmed != w.Confirmed ||
-						g.HasVelocity != w.HasVelocity || g.RadialVelocity != w.RadialVelocity ||
-						!reflect.DeepEqual(g.Points, w.Points) {
-						t.Fatalf("track %d differs from sequential run", i)
-					}
+				if err := tracksEqual(got.tracks, want.tracks); err != nil {
+					t.Fatalf("%v from sequential run", err)
 				}
 				if !reflect.DeepEqual(got.times, want.times) || !reflect.DeepEqual(got.phase, want.phase) {
 					t.Fatal("breathing-phase series differs from sequential run")
 				}
-				switch {
-				case (got.dopplerMap == nil) != (want.dopplerMap == nil):
-					t.Fatal("range–Doppler map presence differs from sequential run")
-				case got.dopplerMap != nil && !reflect.DeepEqual(got.dopplerMap.Power, want.dopplerMap.Power):
+				if !reflect.DeepEqual(got.doppler, want.doppler) {
 					t.Fatal("range–Doppler map differs from sequential run")
 				}
 			})
@@ -152,10 +120,9 @@ func TestConcurrentCancelNoLeak(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	trk := NewTrack(radar.TrackerConfig{})
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	stages := append(FrontEndStages(pr, s.Scene.Radar),
-		NewDoppler(pr, 8, 0), trk, &cancelAfter{n: 3, cancel: cancel})
-	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))), stages...)
+	fe, pools, plan := frontEnd(s.Scene, 0)
+	stages := append(fe, NewDopplerPlanned(plan, 8, 0, pools.Doppler), trk, &cancelAfter{n: 3, cancel: cancel})
+	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))).UsePool(pools.Frames), stages...).UsePools(pools)
 	frames, err := p.RunConcurrent(ctx, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunConcurrent = %v, want context.Canceled", err)
@@ -178,8 +145,8 @@ func TestConcurrentCancelBeforeStart(t *testing.T) {
 	s := testSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := New(s.Scene.Stream(0, 10, rand.New(rand.NewSource(2))),
-		FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar)...)
+	fe, pools, _ := frontEnd(s.Scene, 0)
+	p := New(s.Scene.Stream(0, 10, rand.New(rand.NewSource(2))).UsePool(pools.Frames), fe...).UsePools(pools)
 	frames, err := p.RunConcurrent(ctx, 4)
 	if !errors.Is(err, context.Canceled) || frames != 0 {
 		t.Fatalf("RunConcurrent = (%d, %v), want (0, context.Canceled)", frames, err)
@@ -230,7 +197,7 @@ func (s *errAfterSource) Next(ctx context.Context) (*fmcw.Frame, error) {
 func TestConcurrentSourceError(t *testing.T) {
 	broken := errors.New("antenna unplugged")
 	src := &errAfterSource{n: 4, err: broken, base: fmcw.DefaultParams()}
-	n, err := New(src, NewBackgroundSubtract()).RunConcurrent(context.Background(), 2)
+	n, err := New(src, &BackgroundSubtractStage{}).RunConcurrent(context.Background(), 2)
 	if !errors.Is(err, broken) {
 		t.Fatalf("RunConcurrent = %v, want the source error", err)
 	}

@@ -2,20 +2,17 @@
 // pipeline: a Source emits one *fmcw.Frame at a time and a chain of
 // composable Stages processes each frame before the next is synthesized, so
 // a capture of any length runs with O(1) frames in flight (plus the one
-// frame of background-subtraction history inside radar.FrontEnd). A
+// frame of background-subtraction history inside the subtract stage). A
 // context.Context threads through the source and every stage, so a capture
 // can be canceled or timed out mid-stream.
 //
-// The contract with the batch path is strict equivalence: for the same
-// scene, seed, and configuration, streaming a capture frame by frame
-// produces bit-identical frames, profiles, detections, tracks, and
-// breathing-phase series to Scene.Capture + Processor.ProcessFrames +
-// radar.TrackDetections + BreathingExtractor.PhaseSeries. That holds by
-// construction — the batch functions are thin wrappers over the same
-// per-frame step APIs the stages call (scene.FrameStream, radar.FrontEnd,
-// radar.PhaseStream) — and is enforced by the golden equivalence test in
-// this package. DESIGN.md ("Streaming pipeline") documents the stage graph
-// and cancellation semantics.
+// FrontEndStagesPlanned is the one eavesdropper front end: every
+// experiment, the CLI, the examples and the daemon run it over a plan from
+// radar.PlanFrontEnd. Its output is bit-identical to the per-frame
+// reference — Frame.Sub, then Processor.RangeAngle and Processor.Detect on
+// fresh buffers — for any worker count under Run and RunConcurrent, which
+// the golden tests in this package enforce. DESIGN.md ("Streaming
+// pipeline") documents the stage graph and cancellation semantics.
 //
 // # Execution modes
 //
@@ -27,20 +24,21 @@
 //
 // # Steady-state allocation
 //
-// A pooled assembly — scene.FrameStream.UsePool + FrontEndStagesPooled +
-// Pipeline.UsePools — recycles every buffer (frames, diffs, profiles,
-// Doppler maps) through Pools, and the pipeline recycles its per-frame Item
-// records through an internal free list, so the steady-state frame path of
-// Run allocates exactly nothing (enforced by an AllocsPerRun test). Buffer
-// ownership follows DESIGN.md "Buffer ownership & pooling": the pipeline
-// recycles at the sink, error-path buffers fall to the GC.
+// The chain draws every buffer (frames, diffs, profiles, Doppler maps) from
+// Pools and the pipeline recycles them, with its per-frame Item records,
+// once an item completes, so the steady-state frame path of Run allocates
+// exactly nothing (enforced by an AllocsPerRun test). Buffer ownership
+// follows DESIGN.md "Buffer ownership & pooling": the pipeline recycles at
+// the sink, error-path buffers fall to the GC, and a stage that keeps a
+// buffer or the detections past its Process call copies them.
 //
 // A typical assembly:
 //
-//	pr := radar.NewProcessor(radar.DefaultConfig())
+//	pools := pipeline.NewPools(sc.Params)
+//	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
 //	trk := pipeline.NewTrack(radar.TrackerConfig{})
-//	stages := append(pipeline.FrontEndStages(pr, sc.Radar), trk)
-//	p := pipeline.New(sc.Stream(0, nFrames, rng), stages...)
-//	if _, err := p.Run(ctx); err != nil { ... }
+//	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
+//	src := sc.Stream(0, nFrames, rng).UsePool(pools.Frames)
+//	if _, err := pipeline.New(src, stages...).UsePools(pools).Run(ctx); err != nil { ... }
 //	tracks := trk.Tracks()
 package pipeline

@@ -36,19 +36,26 @@ func scattererFrames(p fmcw.Params, nFrames int, r0, v float64) []*fmcw.Frame {
 }
 
 // lastDopplerMap pushes the frames through a DopplerStage and returns the
-// sliding-window map ending at the last frame.
+// sliding-window map ending at the last frame. The pipeline is not wired
+// with UsePools, so the maps are never recycled and the last one can be
+// kept.
 func lastDopplerMap(t *testing.T, frames []*fmcw.Frame, window int) *radar.RangeDopplerMap {
 	t.Helper()
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	dop := NewDoppler(pr, window, 0)
-	col := &dopplerCollector{}
-	if _, err := New(FromFrames(frames), dop, col).Run(context.Background()); err != nil {
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), frames[0].Params)
+	dop := NewDopplerPlanned(plan, window, 0, radar.NewDopplerPool())
+	var last *radar.RangeDopplerMap
+	keep := stageFunc(func(it *Item) {
+		if it.RangeDoppler != nil {
+			last = it.RangeDoppler
+		}
+	})
+	if _, err := New(FromFrames(frames), dop, keep).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if col.last == nil {
+	if last == nil {
 		t.Fatal("window never filled: no range–Doppler map produced")
 	}
-	return col.last
+	return last
 }
 
 // TestDopplerStagePeakMatchesVelocity is the physical property the Doppler
@@ -152,10 +159,10 @@ func TestDopplerStageWindowSlides(t *testing.T) {
 // radial velocity of the right sign and magnitude.
 func TestTrackVelocitySurfaced(t *testing.T) {
 	s := testSession(t)
-	pr := radar.NewProcessor(radar.DefaultConfig())
 	trk := NewTrackWithVelocity(radar.TrackerConfig{}, s.Scene.Radar)
-	stages := append(FrontEndStages(pr, s.Scene.Radar), NewDoppler(pr, 8, 0), trk)
-	p := New(s.Scene.Stream(0, 40, rand.New(rand.NewSource(17))), stages...)
+	fe, pools, plan := frontEnd(s.Scene, 0)
+	stages := append(fe, NewDopplerPlanned(plan, 8, 0, pools.Doppler), trk)
+	p := New(s.Scene.Stream(0, 40, rand.New(rand.NewSource(17))).UsePool(pools.Frames), stages...).UsePools(pools)
 	if _, err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -40,26 +40,25 @@ func fuzzFrames(n int) []*fmcw.Frame {
 // fuzzStages decodes a stage chain from fuzz bytes: each byte selects one
 // stage from a palette of every composable stage in the package, in any
 // order, duplicates allowed. A fresh chain is built per call because stages
-// hold cross-frame state.
+// hold cross-frame state; the buffer-producing stages share one set of
+// pools, as in a real chain.
 func fuzzStages(order []byte, array fmcw.Array) []Stage {
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	p := fuzzParams()
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), p)
+	pools := NewPools(p)
 	var stages []Stage
 	for _, b := range order {
 		switch b % 8 {
-		case 0:
-			stages = append(stages, NewBackgroundSubtract())
-		case 1:
-			stages = append(stages, NewRangeAngle(pr))
-		case 2:
-			stages = append(stages, NewPeakExtract(pr, array))
+		case 0, 1, 2: // background-subtract, range-angle, peak-extract
+			stages = append(stages, FrontEndStagesPlanned(plan, array, pools)[b%8])
 		case 3:
 			stages = append(stages, NewTrack(radar.TrackerConfig{}))
 		case 4:
-			stages = append(stages, NewDoppler(pr, 3, 0))
+			stages = append(stages, NewDopplerPlanned(plan, 3, 0, pools.Doppler))
 		case 5:
 			stages = append(stages, NewBreathingPhase(radar.BreathingExtractor{}, 2))
 		case 6:
-			stages = append(stages, NewCollectProfiles())
+			stages = append(stages, &profileCopies{})
 		case 7:
 			stages = append(stages, NewTrackWithVelocity(radar.TrackerConfig{}, array))
 		}

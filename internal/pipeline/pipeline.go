@@ -69,9 +69,7 @@ type Pipeline struct {
 // getItem pops a recycled Item (or allocates the first few) and stamps it
 // as frame i carrying f. Every field starts zero like the &Item{...} literal
 // it replaces, except that the Detections backing array survives (emptied)
-// so a buffer-reusing peak stage (NewPeakExtractPooled) appends into it
-// without allocating; the default PeakExtractStage overwrites the field with
-// a fresh slice and never reads the recycled one.
+// so the peak stage appends into it without allocating.
 func (p *Pipeline) getItem(i int, f *fmcw.Frame) *Item {
 	p.itemMu.Lock()
 	var it *Item
@@ -130,12 +128,11 @@ func NewPools(p fmcw.Params) *Pools {
 // every stage — the consumer half of the buffer-ownership contract in
 // DESIGN.md "Buffer ownership & pooling". The producer half is the caller's:
 // only attach pools whose buffers the source and stages actually draw from
-// (scene.FrameStream.UsePool(pl.Frames) + FrontEndStagesPooled(...)).
+// (scene.FrameStream.UsePool(pl.Frames) + FrontEndStagesPlanned(...)).
 // Attaching pools to a pipeline whose source replays caller-owned frames
-// (FromFrames) would zero and reuse those frames mid-replay. Collector
-// stages (FramesCollector, ProfilesCollector) retain buffers past item
-// completion and are likewise incompatible with a pooled run — collect
-// copies instead. It returns p for chaining.
+// (FromFrames) would zero and reuse those frames mid-replay. A stage that
+// keeps a buffer past its item's completion copies it (DetectionsCollector
+// copies the detections). It returns p for chaining.
 func (p *Pipeline) UsePools(pl *Pools) *Pipeline {
 	p.pools = pl
 	return p

@@ -42,36 +42,34 @@ func testSession(t *testing.T) *core.Session {
 }
 
 // TestStreamingEquivalentToBatch is the golden contract of the streaming
-// pipeline: for the same scene and seed, streaming frame by frame produces
-// bit-identical frames, range–angle profiles, detections, tracks, and
-// breathing-phase series to the batch path.
+// pipeline: for the same scene and seed, streaming frame by frame through
+// the planned chain produces bit-identical frames, range–angle profiles,
+// detections, tracks, and breathing-phase series to a batch capture run
+// through the per-frame reference.
 func TestStreamingEquivalentToBatch(t *testing.T) {
 	const nFrames = 30
 	const seed = 9
 	s := testSession(t)
 	breathDist := s.Scene.Radar.DistanceOf(s.Tag.Config().AntennaPosition(1))
 
-	// --- Batch path: capture everything, then process.
+	// --- Batch path: capture everything, then run the per-frame reference.
 	batchFrames := s.Scene.Capture(0, nFrames, rand.New(rand.NewSource(seed)))
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	batchDets := pr.ProcessFrames(batchFrames, s.Scene.Radar)
+	batchProfiles, batchDets := referenceFrontEnd(batchFrames, s.Scene.Radar)
 	batchTracks := radar.TrackDetections(radar.TrackerConfig{}, batchDets)
-	var batchProfiles []*radar.Profile
-	prP := radar.NewProcessor(radar.DefaultConfig())
-	for i := 1; i < len(batchFrames); i++ {
-		batchProfiles = append(batchProfiles, prP.RangeAngle(radar.BackgroundSubtract(batchFrames[i], batchFrames[i-1])))
-	}
 	batchTimes, batchPhase := radar.BreathingExtractor{}.PhaseSeries(batchFrames, breathDist)
 
-	// --- Streaming path: one frame in flight through the full stage chain.
-	framesC := NewCollectFrames()
-	profsC := NewCollectProfiles()
+	// --- Streaming path: one frame in flight through the full stage chain,
+	// every buffer recycled.
+	framesC := &frameCopies{}
+	profsC := &profileCopies{}
 	detsC := NewCollectDetections()
 	trk := NewTrack(radar.TrackerConfig{})
 	breath := NewBreathingPhase(radar.BreathingExtractor{}, breathDist)
-	stages := append([]Stage{framesC}, FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar)...)
+	fe, pools, _ := frontEnd(s.Scene, 0)
+	stages := append([]Stage{framesC}, fe...)
 	stages = append(stages, profsC, detsC, trk, breath)
-	p := New(s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))), stages...)
+	src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames)
+	p := New(src, stages...).UsePools(pools)
 	n, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +79,7 @@ func TestStreamingEquivalentToBatch(t *testing.T) {
 	}
 
 	// Frames: bit-identical synthesis.
-	streamFrames := framesC.Frames()
+	streamFrames := framesC.frames
 	if len(streamFrames) != len(batchFrames) {
 		t.Fatalf("frame count %d != %d", len(streamFrames), len(batchFrames))
 	}
@@ -95,12 +93,12 @@ func TestStreamingEquivalentToBatch(t *testing.T) {
 	}
 
 	// Profiles: bit-identical range–angle power maps.
-	streamProfiles := profsC.Profiles()
+	streamProfiles := profsC.power
 	if len(streamProfiles) != len(batchProfiles) {
 		t.Fatalf("profile count %d != %d", len(streamProfiles), len(batchProfiles))
 	}
 	for i := range batchProfiles {
-		if !reflect.DeepEqual(streamProfiles[i].Power, batchProfiles[i].Power) {
+		if !reflect.DeepEqual(streamProfiles[i], batchProfiles[i].Power) {
 			t.Fatalf("profile %d power map differs", i)
 		}
 	}
@@ -139,8 +137,9 @@ func TestStreamingEquivalenceAnyWorkerCount(t *testing.T) {
 	s := testSession(t)
 	run := func() [][]radar.Detection {
 		detsC := NewCollectDetections()
-		stages := append(FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar), detsC)
-		p := New(s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))), stages...)
+		fe, pools, _ := frontEnd(s.Scene, 0)
+		src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames)
+		p := New(src, append(fe, detsC)...).UsePools(pools)
 		if _, err := p.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -183,9 +182,10 @@ func TestCancelStopsMidCapture(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	trk := NewTrack(radar.TrackerConfig{})
-	stages := append(FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar), trk, &cancelAfter{n: 3, cancel: cancel})
+	fe, pools, _ := frontEnd(s.Scene, 0)
+	stages := append(fe, trk, &cancelAfter{n: 3, cancel: cancel})
 	// n < 0: an unbounded stream — only cancellation can stop this run.
-	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))), stages...)
+	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))).UsePool(pools.Frames), stages...).UsePools(pools)
 	frames, err := p.Run(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
@@ -210,8 +210,8 @@ func TestCancelBeforeStart(t *testing.T) {
 	s := testSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := New(s.Scene.Stream(0, 10, rand.New(rand.NewSource(2))),
-		FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar)...)
+	fe, pools, _ := frontEnd(s.Scene, 0)
+	p := New(s.Scene.Stream(0, 10, rand.New(rand.NewSource(2))).UsePool(pools.Frames), fe...).UsePools(pools)
 	frames, err := p.Run(ctx)
 	if !errors.Is(err, context.Canceled) || frames != 0 {
 		t.Fatalf("Run = (%d, %v), want (0, context.Canceled)", frames, err)
@@ -224,28 +224,28 @@ func TestDeadlineExpiresMidCapture(t *testing.T) {
 	s := testSession(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))),
-		FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar)...)
+	fe, pools, _ := frontEnd(s.Scene, 0)
+	p := New(s.Scene.Stream(0, -1, rand.New(rand.NewSource(2))).UsePool(pools.Frames), fe...).UsePools(pools)
 	if _, err := p.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Run = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestFromFramesReplay runs the stage chain over a recorded capture and
-// matches the batch front end.
+// matches the reference front end. The replayed frames are caller-owned,
+// so the pipeline is not wired with UsePools.
 func TestFromFramesReplay(t *testing.T) {
 	s := testSession(t)
 	frames := s.Scene.Capture(0, 6, rand.New(rand.NewSource(3)))
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	want := pr.ProcessFrames(frames, s.Scene.Radar)
+	_, want := referenceFrontEnd(frames, s.Scene.Radar)
 
 	detsC := NewCollectDetections()
-	stages := append(FrontEndStages(radar.NewProcessor(radar.DefaultConfig()), s.Scene.Radar), detsC)
-	if _, err := New(FromFrames(frames), stages...).Run(nil); err != nil {
+	fe, _, _ := frontEnd(s.Scene, 0)
+	if _, err := New(FromFrames(frames), append(fe, detsC)...).Run(nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(detsC.Detections(), want) {
-		t.Fatal("replayed detections differ from batch")
+		t.Fatal("replayed detections differ from the reference")
 	}
 }
 

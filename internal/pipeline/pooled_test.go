@@ -3,98 +3,12 @@ package pipeline
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
 	"rfprotect/internal/radar"
-	"rfprotect/internal/scene"
 )
-
-// chainResult captures everything a pooled run may NOT retain through
-// pooled buffers: detections are fresh slices from Detect, tracks live in
-// the tracker — both safe to keep after the buffers are recycled.
-type chainResult struct {
-	frames int
-	dets   [][]radar.Detection
-	tracks []*radar.Track
-}
-
-// runPooledChain runs the full eavesdropper chain (background-subtract →
-// range-angle → peak-extract → doppler → track-with-velocity) over nFrames,
-// pooled or not, sequentially or concurrently.
-func runPooledChain(t *testing.T, s interface {
-	Stream(t0 float64, n int, rng *rand.Rand) *scene.FrameStream
-}, params fmcw.Params, array fmcw.Array, nFrames, seed, workers, depth int, pooled bool) chainResult {
-	t.Helper()
-	cfg := radar.DefaultConfig()
-	cfg.Workers = workers
-	pr := radar.NewProcessor(cfg)
-	detsC := NewCollectDetections()
-	trk := NewTrackWithVelocity(radar.TrackerConfig{}, array)
-
-	src := s.Stream(0, nFrames, rand.New(rand.NewSource(int64(seed)))).UseWorkers(workers)
-	var stages []Stage
-	var p *Pipeline
-	if pooled {
-		pl := NewPools(params)
-		stages = FrontEndStagesPooled(pr, array, pl)
-		stages = append(stages, NewDopplerPooled(pr, 6, 0, pl.Doppler), trk, detsC)
-		p = New(src.UsePool(pl.Frames), stages...).UsePools(pl)
-	} else {
-		stages = FrontEndStages(pr, array)
-		stages = append(stages, NewDoppler(pr, 6, 0), trk, detsC)
-		p = New(src, stages...)
-	}
-	var n int
-	var err error
-	if depth > 0 {
-		n, err = p.RunConcurrent(context.Background(), depth)
-	} else {
-		n, err = p.Run(context.Background())
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return chainResult{frames: n, dets: detsC.Detections(), tracks: trk.Tracks()}
-}
-
-// TestPooledEquivalentToUnpooled is the golden contract of the pooled path:
-// for every worker count and for both the sequential and the concurrent
-// runner, a pooled run produces the same detections and tracks as the
-// allocating run, frame for frame and point for point.
-func TestPooledEquivalentToUnpooled(t *testing.T) {
-	const nFrames = 18
-	const seed = 11
-	s := testSession(t)
-	params, array := s.Scene.Params, s.Scene.Radar
-	want := runPooledChain(t, s.Scene, params, array, nFrames, seed, 0, 0, false)
-	if want.frames != nFrames {
-		t.Fatalf("reference run processed %d frames, want %d", want.frames, nFrames)
-	}
-	for _, workers := range []int{1, 2, 0} {
-		for _, depth := range []int{0, 1, 4} { // 0 = sequential Run
-			got := runPooledChain(t, s.Scene, params, array, nFrames, seed, workers, depth, true)
-			if got.frames != want.frames {
-				t.Fatalf("workers=%d depth=%d: %d frames, want %d", workers, depth, got.frames, want.frames)
-			}
-			if !reflect.DeepEqual(got.dets, want.dets) {
-				t.Fatalf("workers=%d depth=%d: pooled detections differ from unpooled", workers, depth)
-			}
-			if len(got.tracks) != len(want.tracks) {
-				t.Fatalf("workers=%d depth=%d: %d tracks, want %d", workers, depth, len(got.tracks), len(want.tracks))
-			}
-			for i := range want.tracks {
-				if got.tracks[i].ID != want.tracks[i].ID ||
-					got.tracks[i].Confirmed != want.tracks[i].Confirmed ||
-					!reflect.DeepEqual(got.tracks[i].Points, want.tracks[i].Points) {
-					t.Fatalf("workers=%d depth=%d: track %d differs", workers, depth, i)
-				}
-			}
-		}
-	}
-}
 
 // TestPooledRunRecyclesBuffers checks the ownership loop actually closes:
 // after a pooled run every in-flight buffer has come back to its pool, so a
@@ -102,10 +16,8 @@ func TestPooledEquivalentToUnpooled(t *testing.T) {
 func TestPooledRunRecyclesBuffers(t *testing.T) {
 	const nFrames = 12
 	s := testSession(t)
-	pl := NewPools(s.Scene.Params)
-	pr := radar.NewProcessor(radar.DefaultConfig())
-	stages := FrontEndStagesPooled(pr, s.Scene.Radar, pl)
-	stages = append(stages, NewDopplerPooled(pr, 4, 0, pl.Doppler))
+	stages, pl, plan := frontEnd(s.Scene, 0)
+	stages = append(stages, NewDopplerPlanned(plan, 4, 0, pl.Doppler))
 	src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(1))).UsePool(pl.Frames)
 	if _, err := New(src, stages...).UsePools(pl).Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -124,7 +36,7 @@ func TestPooledRunRecyclesBuffers(t *testing.T) {
 	}
 }
 
-// TestStagesZeroAllocsSteadyState drives the three pooled hot-path stages
+// TestStagesZeroAllocsSteadyState drives the three buffer-producing stages
 // directly (no pipeline loop, Workers: 1) and asserts the steady state
 // allocates nothing per frame: the subtract stage, the range-FFT/beamform
 // stage, and the sliding-window Doppler stage.
@@ -146,11 +58,11 @@ func TestStagesZeroAllocsSteadyState(t *testing.T) {
 
 	cfg := radar.DefaultConfig()
 	cfg.Workers = 1
-	pr := radar.NewProcessor(cfg)
+	plan := radar.PlanFrontEnd(cfg, p)
 	pl := NewPools(p)
-	bg := NewBackgroundSubtractPooled(pl.Frames)
-	ra := NewRangeAnglePooled(pr, pl.Profiles)
-	dop := NewDopplerPooled(pr, len(templates), 0, pl.Doppler)
+	fe := FrontEndStagesPlanned(plan, array, pl)
+	bg, ra := fe[0], fe[1]
+	dop := NewDopplerPlanned(plan, len(templates), 0, pl.Doppler)
 
 	var it Item
 	step := func(i int) {
@@ -185,71 +97,6 @@ func TestStagesZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// copyingCollector accumulates per-frame detection sets by value, safe in a
-// chain whose peak stage reuses the detection backing (FrontEndStagesPlanned).
-type copyingCollector struct{ dets [][]radar.Detection }
-
-func (c *copyingCollector) Name() string { return "copy-detections" }
-
-func (c *copyingCollector) Process(ctx context.Context, it *Item) error {
-	if it.HasDets {
-		cp := make([]radar.Detection, len(it.Detections))
-		copy(cp, it.Detections)
-		c.dets = append(c.dets, cp)
-	}
-	return nil
-}
-
-// TestPlannedEquivalentToUnpooled is the golden contract of the fully
-// compiled chain: FrontEndStagesPlanned + NewDopplerPlanned over one shared
-// plan must produce the same detections and tracks as the allocating
-// FrontEndStages run, for the sequential and the concurrent runner.
-func TestPlannedEquivalentToUnpooled(t *testing.T) {
-	const nFrames = 18
-	const seed = 11
-	s := testSession(t)
-	params, array := s.Scene.Params, s.Scene.Radar
-	want := runPooledChain(t, s.Scene, params, array, nFrames, seed, 0, 0, false)
-
-	for _, depth := range []int{0, 4} { // 0 = sequential Run
-		cfg := radar.DefaultConfig()
-		cfg.Workers = 1
-		plan := radar.CompileFrontEndPlan(cfg, params)
-		pools := NewPools(params)
-		detsC := &copyingCollector{}
-		trk := NewTrackWithVelocity(radar.TrackerConfig{}, array)
-		stages := FrontEndStagesPlanned(plan, array, pools)
-		stages = append(stages, NewDopplerPlanned(plan, 6, 0, pools.Doppler), trk, detsC)
-		src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames).UseWorkers(1)
-		p := New(src, stages...).UsePools(pools)
-		var n int
-		var err error
-		if depth > 0 {
-			n, err = p.RunConcurrent(context.Background(), depth)
-		} else {
-			n, err = p.Run(context.Background())
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != want.frames {
-			t.Fatalf("depth=%d: %d frames, want %d", depth, n, want.frames)
-		}
-		if !reflect.DeepEqual(detsC.dets, want.dets) {
-			t.Fatalf("depth=%d: planned detections differ from unpooled", depth)
-		}
-		tracks := trk.Tracks()
-		if len(tracks) != len(want.tracks) {
-			t.Fatalf("depth=%d: %d tracks, want %d", depth, len(tracks), len(want.tracks))
-		}
-		for i := range want.tracks {
-			if !reflect.DeepEqual(tracks[i].Points, want.tracks[i].Points) {
-				t.Fatalf("depth=%d: track %d differs", depth, i)
-			}
-		}
-	}
-}
-
 // TestPlannedChainZeroAllocsSteadyState drives the complete compiled chain —
 // subtract, beamform, peak-extract with detection-buffer reuse, Doppler,
 // tracking — and asserts a warmed-up frame allocates nothing anywhere.
@@ -269,7 +116,7 @@ func TestPlannedChainZeroAllocsSteadyState(t *testing.T) {
 
 	cfg := radar.DefaultConfig()
 	cfg.Workers = 1
-	plan := radar.CompileFrontEndPlan(cfg, p)
+	plan := radar.PlanFrontEnd(cfg, p)
 	pools := NewPools(p)
 	stages := FrontEndStagesPlanned(plan, array, pools)
 	stages = append(stages, NewDopplerPlanned(plan, len(templates), 0, pools.Doppler))

@@ -2,6 +2,7 @@ package radar
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"rfprotect/internal/dsp"
@@ -78,38 +79,53 @@ func TestMinRangeExcludesCloseTargets(t *testing.T) {
 	}
 }
 
+// Racing first uses of one shape must compile it once: every caller gets
+// the same plan.
+func TestPlanFrontEndConcurrentFirstUse(t *testing.T) {
+	p := quietParams()
+	p.CenterFreq = 6.5e9 // a shape no other test compiles
+	const callers = 8
+	plans := make([]*FrontEndPlan, callers)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			plans[i] = PlanFrontEnd(DefaultConfig(), p)
+		}(i)
+	}
+	wg.Wait()
+	for i, pl := range plans {
+		if pl != plans[0] {
+			t.Fatalf("caller %d got a different plan", i)
+		}
+	}
+}
+
 func TestPlanCacheReuse(t *testing.T) {
 	p := quietParams()
 	pr := NewProcessor(DefaultConfig())
-	fr := fmcw.Synthesize(p, nil, 0, nil)
-	pr.RangeAngle(fr)
-	first := pr.plan
-	if first == nil {
-		t.Fatal("no plan compiled")
-	}
-	pr.RangeAngle(fr)
-	if pr.plan != first {
-		t.Fatal("plan recompiled for identical params")
-	}
+	first := pr.Plan(p)
 	if pr.Plan(p) != first {
 		t.Fatal("Plan() recompiled for identical params")
 	}
-	// Changing params invalidates the cache.
+	// Every processor and caller of one shape shares the process-wide plan;
+	// zero-valued config fields normalize to the same key.
+	unset := DefaultConfig()
+	unset.MaxTargets, unset.AngleBins = 0, 0
+	if NewProcessor(unset).Plan(p) != first || PlanFrontEnd(unset, p) != first {
+		t.Fatal("equivalent configurations resolved different plans")
+	}
+	// Another frame shape or configuration gets its own plan.
 	p2 := p
 	p2.CenterFreq = 7e9
-	fr2 := fmcw.Synthesize(p2, nil, 0, nil)
-	pr.RangeAngle(fr2)
-	if pr.plan == first {
+	if pr.Plan(p2) == first || pr.Plan(p2).Params() != p2 {
 		t.Fatal("plan not recompiled for new params")
 	}
-	// A processor built around a shared plan starts on that plan.
-	shared := CompileFrontEndPlan(DefaultConfig(), p)
-	pr2 := NewProcessorWithPlan(shared)
-	if pr2.Plan(p) != shared {
-		t.Fatal("NewProcessorWithPlan did not adopt the shared plan")
-	}
-	if got := pr2.Config().AngleBins; got != shared.Config().AngleBins {
-		t.Fatalf("processor config not adopted from plan: %d", got)
+	cfg := DefaultConfig()
+	cfg.AngleBins = 91
+	if PlanFrontEnd(cfg, p) == first || PlanFrontEnd(cfg, p).Config().AngleBins != 91 {
+		t.Fatal("plan not recompiled for a new configuration")
 	}
 }
 

@@ -1,8 +1,6 @@
 package radar
 
 import (
-	"context"
-
 	"rfprotect/internal/dsp"
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
@@ -100,68 +98,4 @@ func (e *detExec) rangeCol(n int) []float64 {
 		e.col = make([]float64, n)
 	}
 	return e.col[:n]
-}
-
-// FrontEnd is the streaming per-frame state of the eavesdropper's front
-// end: one frame of background-subtraction history plus the processor and
-// array geometry. Feed it frames one at a time with Step; the detection
-// sequence is bit-identical to ProcessFrames over the same frames.
-type FrontEnd struct {
-	pr    *Processor
-	array fmcw.Array
-	diff  fmcw.Differencer
-}
-
-// NewFrontEnd returns a streaming front end over the processor's
-// configuration for the given array geometry.
-func (pr *Processor) NewFrontEnd(array fmcw.Array) *FrontEnd {
-	return &FrontEnd{pr: pr, array: array}
-}
-
-// Step consumes the next frame. The first frame seeds the background
-// history and yields ok == false; every later frame yields its
-// background-subtracted range–angle profile and detections with ok == true.
-func (fe *FrontEnd) Step(f *fmcw.Frame) (dets []Detection, prof *Profile, ok bool) {
-	dets, prof, ok, _ = fe.StepCtx(nil, f)
-	return dets, prof, ok
-}
-
-// StepCtx is Step with cooperative cancellation threaded into the profile
-// computation; once ctx is done it returns ctx.Err() and resets the
-// background history (a canceled capture is aborted, never resumed). A nil
-// ctx is exactly Step.
-func (fe *FrontEnd) StepCtx(ctx context.Context, f *fmcw.Frame) (dets []Detection, prof *Profile, ok bool, err error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	diff, ok := fe.diff.Step(f)
-	if !ok {
-		return nil, nil, false, nil
-	}
-	prof, err = fe.pr.RangeAngleCtx(ctx, diff)
-	if err != nil {
-		fe.diff.Reset()
-		return nil, nil, false, err
-	}
-	return fe.pr.Detect(prof, fe.array), prof, true, nil
-}
-
-// ProcessFrames runs the full front end over a frame sequence: successive
-// background subtraction followed by profile computation and detection.
-// The first frame serves only as background; len(frames)-1 detection sets
-// are returned. It is the batch wrapper over FrontEnd.Step.
-func (pr *Processor) ProcessFrames(frames []*fmcw.Frame, array fmcw.Array) [][]Detection {
-	if len(frames) < 2 {
-		return nil
-	}
-	fe := pr.NewFrontEnd(array)
-	out := make([][]Detection, 0, len(frames)-1)
-	for _, f := range frames {
-		if dets, _, ok := fe.Step(f); ok {
-			out = append(out, dets)
-		}
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package radar
 
 import (
-	"context"
 	"math"
 
 	"rfprotect/internal/dsp"
@@ -65,28 +64,6 @@ func (m *RangeDopplerMap) At(r, d int) float64 { return m.Power[r*m.DopplerBins+
 // MaxUnambiguousVelocity returns the Nyquist velocity λ/(4·PRI).
 func (m *RangeDopplerMap) MaxUnambiguousVelocity() float64 {
 	return m.Params.Wavelength() / (4 * m.PRI)
-}
-
-// RangeDoppler computes the range–Doppler map of a chirp burst on one
-// antenna. chirps must share parameters and be uniformly spaced by pri.
-func (pr *Processor) RangeDoppler(chirps []*fmcw.Frame, antenna int, pri float64) *RangeDopplerMap {
-	m, _ := pr.RangeDopplerCtx(nil, chirps, antenna, pri)
-	return m
-}
-
-// RangeDopplerCtx is RangeDoppler with cooperative cancellation threaded
-// into the range-FFT batch and the per-range-bin slow-time fan-out; it
-// returns (nil, ctx.Err()) once ctx is done. A nil ctx is exactly
-// RangeDoppler. The map is bit-identical for any worker count: each chirp's
-// range FFT and each range bin's Doppler column are independent work items
-// writing disjoint destinations through the cached dsp plans. It is the
-// allocating wrapper over RangeDopplerInto.
-func (pr *Processor) RangeDopplerCtx(ctx context.Context, chirps []*fmcw.Frame, antenna int, pri float64) (*RangeDopplerMap, error) {
-	m := &RangeDopplerMap{}
-	if err := pr.RangeDopplerInto(ctx, m, chirps, antenna, pri); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // PeakVelocityAtRange extracts the dominant Doppler peak in the range rows

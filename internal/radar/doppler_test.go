@@ -36,7 +36,7 @@ func TestRangeDopplerMovingTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	burst := sc.CaptureBurst(1.0, nChirps, pri, rng)
 	pr := NewProcessor(DefaultConfig())
-	rd := pr.RangeDoppler(burst, 0, pri)
+	rd := rangeDoppler(pr, burst, 0, pri)
 	rd.RejectStatic(1)
 	targets := rd.DetectMoving(0.3, 4)
 	if len(targets) == 0 {
@@ -65,7 +65,7 @@ func TestRangeDopplerStaticRejection(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	burst := sc.CaptureBurst(0.5, 128, pri, rng)
 	pr := NewProcessor(DefaultConfig())
-	rd := pr.RangeDoppler(burst, 0, pri)
+	rd := rangeDoppler(pr, burst, 0, pri)
 
 	// Before rejection the static clutter dominates the zero-Doppler column.
 	clutterBin := int(math.Round(sc.Radar.DistanceOf(sc.Clutter[0].Pos) /
@@ -110,7 +110,7 @@ func TestGhostSurvivesDopplerRejection(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	burst := sc.CaptureBurst(1.0, 128, pri, rng)
 	pr := NewProcessor(DefaultConfig())
-	rd := pr.RangeDoppler(burst, 0, pri)
+	rd := rangeDoppler(pr, burst, 0, pri)
 	rd.RejectStatic(1)
 	targets := rd.DetectMoving(0.2, 6)
 	ghostRange := sc.Radar.DistanceOf(tagCfg.AntennaPosition(2)) + extra
@@ -156,8 +156,20 @@ func TestAliasedDoppler(t *testing.T) {
 
 func TestRangeDopplerEmptyBurst(t *testing.T) {
 	pr := NewProcessor(DefaultConfig())
-	rd := pr.RangeDoppler(nil, 0, 1e-3)
+	rd := rangeDoppler(pr, nil, 0, 1e-3)
 	if rd.DetectMoving(0.5, 4) != nil {
 		t.Fatal("empty burst should detect nothing")
 	}
+}
+
+// rangeDoppler is the allocating range–Doppler reference: the processor's
+// plan for the burst's shape, run into a fresh map.
+func rangeDoppler(pr *Processor, chirps []*fmcw.Frame, antenna int, pri float64) *RangeDopplerMap {
+	m := &RangeDopplerMap{}
+	if len(chirps) > 0 {
+		if err := pr.Plan(chirps[0].Params).RangeDopplerInto(nil, m, chirps, antenna, pri); err != nil {
+			panic(err)
+		}
+	}
+	return m
 }

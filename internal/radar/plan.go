@@ -50,9 +50,9 @@ const beamBatch = 16
 // rows never share scratch. Larger arrays fall back to the scalar kernels.
 const beamMaxAVXAnt = 32
 
-// FrontEndPlan is the compiled front end for one radar shape. Compile it
-// once (or let a Processor compile it lazily) and share it: all methods are
-// safe for concurrent use.
+// FrontEndPlan is the compiled front end for one radar shape. Resolve it
+// through PlanFrontEnd and share it: all methods are safe for concurrent
+// use.
 type FrontEndPlan struct {
 	cfg    Config
 	params fmcw.Params
@@ -121,6 +121,42 @@ func CompileFrontEndPlan(cfg Config, p fmcw.Params) *FrontEndPlan {
 		}
 	}
 	dsp.FFTInPlace(make([]complex128, n))
+	return pl
+}
+
+// planKey identifies one compiled front-end shape: the normalized
+// processing configuration plus the frame parameters, both flat comparable
+// structs.
+type planKey struct {
+	cfg    Config
+	params fmcw.Params
+}
+
+// frontEndPlans is the process-wide shape-keyed plan cache behind
+// PlanFrontEnd, the twin of fmcw's synthesis-plan cache.
+var frontEndPlans struct {
+	mu sync.Mutex
+	m  map[planKey]*FrontEndPlan
+}
+
+// PlanFrontEnd returns the process-wide shared plan for a processing
+// configuration (normalized as NewProcessor does) and frame shape,
+// compiling it on first use. Every experiment trial, daemon room and
+// Processor of one shape shares the one plan — steering tables, windows and
+// warmed executor free lists included. The compile runs under the cache
+// lock so a racing first use never compiles the same shape twice.
+func PlanFrontEnd(cfg Config, p fmcw.Params) *FrontEndPlan {
+	key := planKey{cfg: normalizeConfig(cfg), params: p}
+	frontEndPlans.mu.Lock()
+	pl := frontEndPlans.m[key]
+	if pl == nil {
+		pl = CompileFrontEndPlan(key.cfg, p)
+		if frontEndPlans.m == nil {
+			frontEndPlans.m = make(map[planKey]*FrontEndPlan)
+		}
+		frontEndPlans.m[key] = pl
+	}
+	frontEndPlans.mu.Unlock()
 	return pl
 }
 

@@ -55,10 +55,10 @@ func dopplerMapsEqual(a, b *RangeDopplerMap) bool {
 	return true
 }
 
-// RangeAngleInto must reproduce RangeAngleCtx bit-for-bit: for any worker
-// count, into a fresh destination, and into a dirty reused one (including a
-// destination previously filled from a different frame, exercising the
-// near-range re-zeroing).
+// RangeAngleInto must reproduce the reference RangeAngle bit-for-bit: for
+// any worker count, into a fresh destination, and into a dirty reused one
+// (including a destination previously filled from a different frame,
+// exercising the near-range re-zeroing).
 func TestRangeAngleIntoBitIdentical(t *testing.T) {
 	p := smallParams()
 	frames := []*fmcw.Frame{scratchFrame(p, 1, 0), scratchFrame(p, 2, 0.05)}
@@ -66,22 +66,22 @@ func TestRangeAngleIntoBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 0} {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
+		pl := PlanFrontEnd(cfg, p)
 		reuse := pool.Get()
 		for _, f := range frames {
 			want := NewProcessor(DefaultConfig()).RangeAngle(f)
-			pr := NewProcessor(cfg)
-			got, err := pr.RangeAngleCtx(nil, f)
-			if err != nil {
+			got := &Profile{}
+			if err := pl.RangeAngleInto(nil, f, got); err != nil {
 				t.Fatal(err)
 			}
 			if !profilesEqual(got, want) {
-				t.Fatalf("workers=%d: RangeAngleCtx differs across worker counts", workers)
+				t.Fatalf("workers=%d: RangeAngleInto differs across worker counts", workers)
 			}
 			// Dirty the reused destination, then overwrite it in place.
 			for i := range reuse.Power {
 				reuse.Power[i] = 1e9
 			}
-			if err := pr.RangeAngleInto(nil, f, reuse); err != nil {
+			if err := pl.RangeAngleInto(nil, f, reuse); err != nil {
 				t.Fatal(err)
 			}
 			if !profilesEqual(reuse, want) {
@@ -92,8 +92,9 @@ func TestRangeAngleIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// RangeDopplerInto must reproduce RangeDopplerCtx bit-for-bit, including
-// into a reused map previously filled from a different burst length.
+// RangeDopplerInto must be bit-identical for any worker count, into a fresh
+// map and into a reused map previously filled from a different burst
+// length.
 func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 	p := smallParams()
 	pri := 1 / p.FrameRate
@@ -105,18 +106,18 @@ func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 0} {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
+		pl := PlanFrontEnd(cfg, p)
 		m := pool.Get()
 		for _, nd := range []int{5, 8, 3} { // shrinking nd exercises capacity reuse
-			want := NewProcessor(DefaultConfig()).RangeDoppler(burst[:nd], 1, pri)
-			pr := NewProcessor(cfg)
-			got, err := pr.RangeDopplerCtx(nil, burst[:nd], 1, pri)
-			if err != nil {
+			want := rangeDoppler(NewProcessor(DefaultConfig()), burst[:nd], 1, pri)
+			got := &RangeDopplerMap{}
+			if err := pl.RangeDopplerInto(nil, got, burst[:nd], 1, pri); err != nil {
 				t.Fatal(err)
 			}
 			if !dopplerMapsEqual(got, want) {
-				t.Fatalf("workers=%d nd=%d: RangeDopplerCtx differs across worker counts", workers, nd)
+				t.Fatalf("workers=%d nd=%d: RangeDopplerInto differs across worker counts", workers, nd)
 			}
-			if err := pr.RangeDopplerInto(nil, m, burst[:nd], 1, pri); err != nil {
+			if err := pl.RangeDopplerInto(nil, m, burst[:nd], 1, pri); err != nil {
 				t.Fatal(err)
 			}
 			if !dopplerMapsEqual(m, want) {
@@ -128,9 +129,9 @@ func TestRangeDopplerIntoBitIdentical(t *testing.T) {
 }
 
 func TestRangeDopplerIntoEmptyBurst(t *testing.T) {
-	pr := NewProcessor(DefaultConfig())
+	pl := PlanFrontEnd(DefaultConfig(), smallParams())
 	m := &RangeDopplerMap{Power: make([]float64, 7), RangeBins: 1, DopplerBins: 7}
-	if err := pr.RangeDopplerInto(nil, m, nil, 0, 0.01); err != nil {
+	if err := pl.RangeDopplerInto(nil, m, nil, 0, 0.01); err != nil {
 		t.Fatal(err)
 	}
 	if m.RangeBins != 0 || m.DopplerBins != 0 || len(m.Power) != 0 {
@@ -145,14 +146,14 @@ func TestIntoVariantsZeroAllocsSteadyState(t *testing.T) {
 	p := smallParams()
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	pr := NewProcessor(cfg)
+	pl := PlanFrontEnd(cfg, p)
 	f := scratchFrame(p, 3, 0)
 	prof := &Profile{}
-	if err := pr.RangeAngleInto(nil, f, prof); err != nil { // warm scratch + plans
+	if err := pl.RangeAngleInto(nil, f, prof); err != nil { // warm scratch + plans
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := pr.RangeAngleInto(nil, f, prof); err != nil {
+		if err := pl.RangeAngleInto(nil, f, prof); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -165,11 +166,11 @@ func TestIntoVariantsZeroAllocsSteadyState(t *testing.T) {
 		burst = append(burst, scratchFrame(p, int64(20+i), float64(i)*pri))
 	}
 	m := &RangeDopplerMap{}
-	if err := pr.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
+	if err := pl.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := pr.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
+		if err := pl.RangeDopplerInto(nil, m, burst, 0, pri); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -241,11 +242,10 @@ func TestDetectAndObserveZeroAllocsSteadyState(t *testing.T) {
 	array := fmcw.Array{Position: geom.Point{}, Facing: 1}
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	pr := NewProcessor(cfg)
-	pl := pr.Plan(p)
+	pl := PlanFrontEnd(cfg, p)
 	f := scratchFrame(p, 3, 0)
 	prof := &Profile{}
-	if err := pr.RangeAngleInto(nil, f, prof); err != nil {
+	if err := pl.RangeAngleInto(nil, f, prof); err != nil {
 		t.Fatal(err)
 	}
 	dets := pl.DetectInto(nil, prof, array)

@@ -11,9 +11,7 @@
 package radar
 
 import (
-	"context"
 	"math"
-	"sync"
 
 	"rfprotect/internal/dsp"
 	"rfprotect/internal/fmcw"
@@ -75,34 +73,20 @@ func (p *Profile) AngleOfBin(a float64) float64 {
 // At returns the power at integer bin (r, a).
 func (p *Profile) At(r, a int) float64 { return p.Power[r*p.AngleBins+a] }
 
-// Processor computes range–angle profiles and detections.
-//
-// A Processor is a thin stateful wrapper over a compiled FrontEndPlan: the
-// first call for a given frame shape compiles the plan (and a later shape
-// change recompiles it), after which every kernel is a direct plan call.
-// All the scratch reuse that makes the Into kernels allocation-free lives
-// in the plan; concurrent calls on one Processor are safe and — unlike the
-// pre-plan scratch, which serialized them — overlap, each on its own
-// executor. The fan-out *inside* a call parallelizes across Config.Workers.
+// Processor is the reference front end: a configuration plus allocating
+// per-frame kernels (RangeAngle, Detect) that resolve the process-wide plan
+// for each frame's shape through PlanFrontEnd. The streaming chain in
+// internal/pipeline runs the same plans into pooled buffers; tests compare
+// it against these calls on fresh buffers. A Processor is safe for
+// concurrent use.
 type Processor struct {
 	cfg Config
-
-	mu   sync.Mutex
-	plan *FrontEndPlan
 }
 
 // NewProcessor returns a Processor with the given configuration;
 // zero-valued fields fall back to DefaultConfig values.
 func NewProcessor(cfg Config) *Processor {
 	return &Processor{cfg: normalizeConfig(cfg)}
-}
-
-// NewProcessorWithPlan returns a Processor that serves frames of the plan's
-// compiled shape through the given — possibly shared — plan, adopting the
-// plan's configuration. Frames of a different shape transparently compile a
-// private plan, exactly like NewProcessor.
-func NewProcessorWithPlan(pl *FrontEndPlan) *Processor {
-	return &Processor{cfg: pl.cfg, plan: pl}
 }
 
 // normalizeConfig fills zero-valued config fields with DefaultConfig values.
@@ -126,60 +110,17 @@ func normalizeConfig(cfg Config) Config {
 // Config returns the processor's effective configuration.
 func (pr *Processor) Config() Config { return pr.cfg }
 
-// Plan returns the processor's compiled plan for frame shape p, compiling
-// and caching one on first use or shape change.
-func (pr *Processor) Plan(p fmcw.Params) *FrontEndPlan {
-	pr.mu.Lock()
-	pl := pr.plan
-	if pl == nil || pl.params != p {
-		pl = CompileFrontEndPlan(pr.cfg, p)
-		pr.plan = pl
-	}
-	pr.mu.Unlock()
-	return pl
-}
-
-// RangeAngleInto computes the range–angle power profile of f into prof
-// through the processor's plan; see FrontEndPlan.RangeAngleInto for the
-// full contract.
-func (pr *Processor) RangeAngleInto(ctx context.Context, f *fmcw.Frame, prof *Profile) error {
-	return pr.Plan(f.Params).RangeAngleInto(ctx, f, prof)
-}
-
-// RangeDopplerInto computes the range–Doppler map of a chirp burst into m
-// through the processor's plan; see FrontEndPlan.RangeDopplerInto for the
-// full contract.
-func (pr *Processor) RangeDopplerInto(ctx context.Context, m *RangeDopplerMap, chirps []*fmcw.Frame, antenna int, pri float64) error {
-	if m == nil {
-		panic("radar: RangeDopplerInto with nil map")
-	}
-	if len(chirps) == 0 {
-		*m = RangeDopplerMap{Power: m.Power[:0]}
-		return nil
-	}
-	return pr.Plan(chirps[0].Params).RangeDopplerInto(ctx, m, chirps, antenna, pri)
-}
+// Plan returns the shared compiled plan for the processor's configuration
+// and frame shape p (see PlanFrontEnd).
+func (pr *Processor) Plan(p fmcw.Params) *FrontEndPlan { return PlanFrontEnd(pr.cfg, p) }
 
 // RangeAngle computes the range–angle power profile of a (typically
-// background-subtracted) frame: per-antenna windowed range FFT, then Eq. 2
-// beamforming at every range bin.
+// background-subtracted) frame into a fresh Profile: per-antenna windowed
+// range FFT, then Eq. 2 beamforming at every range bin. It is the
+// allocating form of FrontEndPlan.RangeAngleInto.
 func (pr *Processor) RangeAngle(f *fmcw.Frame) *Profile {
-	prof, _ := pr.RangeAngleCtx(nil, f)
+	prof := &Profile{}
+	// A nil ctx never cancels, so the call cannot fail.
+	_ = pr.Plan(f.Params).RangeAngleInto(nil, f, prof)
 	return prof
 }
-
-// RangeAngleCtx is RangeAngle with cooperative cancellation threaded into
-// the FFT batch and the beamforming fan-out; it returns (nil, ctx.Err())
-// once ctx is done. A nil ctx is exactly RangeAngle. It is the allocating
-// wrapper over RangeAngleInto.
-func (pr *Processor) RangeAngleCtx(ctx context.Context, f *fmcw.Frame) (*Profile, error) {
-	prof := &Profile{}
-	if err := pr.RangeAngleInto(ctx, f, prof); err != nil {
-		return nil, err
-	}
-	return prof, nil
-}
-
-// BackgroundSubtract returns cur - prev, the standard static-reflector
-// rejection (§3).
-func BackgroundSubtract(cur, prev *fmcw.Frame) *fmcw.Frame { return cur.Sub(prev) }

@@ -77,7 +77,7 @@ func TestBackgroundSubtractionKillsStatic(t *testing.T) {
 	f1 := fmcw.Synthesize(p, []fmcw.Return{static, mover1}, 0, nil)
 	f2 := fmcw.Synthesize(p, []fmcw.Return{static, mover2}, 0.05, nil)
 	pr := NewProcessor(DefaultConfig())
-	dets := pr.Detect(pr.RangeAngle(BackgroundSubtract(f2, f1)), array)
+	dets := pr.Detect(pr.RangeAngle(f2.Sub(f1)), array)
 	for _, d := range dets {
 		if d.Pos.Dist(geom.Point{X: 0, Y: 2}) < 0.5 {
 			t.Fatalf("static reflector leaked through subtraction: %v", d)
@@ -240,7 +240,7 @@ func TestEndToEndSceneTracking(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	frames := sc.Capture(0, n, rng)
 	pr := NewProcessor(DefaultConfig())
-	detSeq := pr.ProcessFrames(frames, sc.Radar)
+	detSeq := processFrames(pr, frames, sc.Radar)
 	tracks := TrackDetections(TrackerConfig{}, detSeq)
 	if len(tracks) == 0 {
 		t.Fatal("no tracks recovered")
@@ -335,4 +335,16 @@ func TestProfileBinConversions(t *testing.T) {
 		// one bin = fs/N Hz = 2 kHz -> 15 cm
 		t.Fatalf("RangeOfBin(1) = %v", got)
 	}
+}
+
+// processFrames is the per-frame reference front end: successive-frame
+// background subtraction with Frame.Sub, then RangeAngle and Detect on
+// fresh buffers. The first frame only seeds the background, so it returns
+// len(frames)-1 detection sets.
+func processFrames(pr *Processor, frames []*fmcw.Frame, array fmcw.Array) [][]Detection {
+	var out [][]Detection
+	for i := 1; i < len(frames); i++ {
+		out = append(out, pr.Detect(pr.RangeAngle(frames[i].Sub(frames[i-1])), array))
+	}
+	return out
 }

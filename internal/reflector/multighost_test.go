@@ -46,7 +46,7 @@ func TestMultiplePhantomsSimultaneously(t *testing.T) {
 	cfg.MinPeakRatio = 0.02
 	pr := radar.NewProcessor(cfg)
 	found1, found2 := 0, 0
-	for _, dets := range pr.ProcessFrames(frames, sc.Radar) {
+	for _, dets := range processFrames(pr, frames, sc.Radar) {
 		for _, d := range dets {
 			if math.Abs(d.Range-want1) < 0.4 {
 				found1++
@@ -110,7 +110,7 @@ func TestStationaryGhostAliasing(t *testing.T) {
 	}
 	f0 := sc.FrameAt(0, nil)
 	f1 := sc.FrameAt(1/params.FrameRate, nil)
-	diff := radar.BackgroundSubtract(f1, f0)
+	diff := f1.Sub(f0)
 	pr := radar.NewProcessor(radar.DefaultConfig())
 	if dets := pr.Detect(pr.RangeAngle(diff), sc.Radar); len(dets) != 0 {
 		t.Fatalf("aliased stationary ghost should cancel under subtraction, got %v", dets)

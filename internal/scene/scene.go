@@ -168,7 +168,7 @@ func (s *Scene) FrameAt(t float64, rng *rand.Rand) *fmcw.Frame {
 // synthesis fan-out; it returns (nil, ctx.Err()) once ctx is done. The rng
 // consumption order is identical to FrameAt (speckle draws, then one noise
 // base draw), so for a nil or never-canceled ctx the frame is bit-identical
-// to the batch path.
+// to FrameAt's.
 func (s *Scene) FrameAtCtx(ctx context.Context, t float64, rng *rand.Rand) (*fmcw.Frame, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -236,27 +236,15 @@ func (s *Scene) CaptureBurst(t0 float64, nChirps int, pri float64, rng *rand.Ran
 }
 
 // Capture synthesizes n consecutive frames starting at t0 at the params'
-// frame rate. It is the batch wrapper over Stream: both paths synthesize
-// the same frames in the same order from the same rng draws, so a drained
-// stream is bit-identical to a capture.
+// frame rate into memory. It drains a Stream, so a capture is bit-identical
+// to the frames a stream emits and consumes rng exactly as the stream does.
 func (s *Scene) Capture(t0 float64, n int, rng *rand.Rand) []*fmcw.Frame {
-	out, _ := s.CaptureCtx(nil, t0, n, rng)
-	return out
-}
-
-// CaptureCtx is Capture with cooperative cancellation: it returns the
-// frames synthesized so far plus ctx.Err() once ctx is done. A nil ctx is
-// exactly Capture.
-func (s *Scene) CaptureCtx(ctx context.Context, t0 float64, n int, rng *rand.Rand) ([]*fmcw.Frame, error) {
 	out := make([]*fmcw.Frame, 0, n)
 	st := s.Stream(t0, n, rng)
 	for {
-		f, err := st.Next(ctx)
-		if err == io.EOF {
-			return out, nil
-		}
+		f, err := st.Next(nil) // a nil ctx never cancels: only io.EOF ends it
 		if err != nil {
-			return out, err
+			return out
 		}
 		out = append(out, f)
 	}
@@ -299,15 +287,6 @@ func (s *Scene) Stream(t0 float64, n int, rng *rand.Rand) *FrameStream {
 // chaining.
 func (st *FrameStream) UsePool(pool *fmcw.FramePool) *FrameStream {
 	st.pool = pool
-	return st
-}
-
-// UseSynthPlan makes the stream synthesize through the given pre-compiled
-// plan (which must match the scene's Params) instead of the one the scene
-// resolved at Stream time. Frames are bit-identical for any plan of the
-// right shape. It returns st for chaining.
-func (st *FrameStream) UseSynthPlan(pl *fmcw.SynthPlan) *FrameStream {
-	st.plan = pl
 	return st
 }
 

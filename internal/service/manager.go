@@ -7,67 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"rfprotect/internal/fmcw"
-	"rfprotect/internal/radar"
 )
-
-// planKey identifies one compiled front-end shape: the processing
-// configuration plus the frame parameters. Both are flat comparable structs,
-// so the key is a plain map key.
-type planKey struct {
-	cfg    radar.Config
-	params fmcw.Params
-}
-
-// planCache shares compiled plans across rooms — radar.FrontEndPlans for the
-// processing side and fmcw.SynthPlans for the synthesis side: every room with
-// the same shape reuses one plan of each kind — steering tables, windows,
-// phasor-table scratch, and warmed executor free lists included — so an
-// N-room daemon compiles each shape once instead of once per room.
-type planCache struct {
-	//rfvet:lockrank 30
-	mu    sync.Mutex
-	plans map[planKey]*radar.FrontEndPlan
-	synth map[fmcw.Params]*fmcw.SynthPlan
-}
-
-func newPlanCache() *planCache {
-	return &planCache{
-		plans: make(map[planKey]*radar.FrontEndPlan),
-		synth: make(map[fmcw.Params]*fmcw.SynthPlan),
-	}
-}
-
-// get returns the shared plan for the shape, compiling it on first use. The
-// compile runs under the cache lock — it is cheap (tables only), contended
-// only at room creation, and holding the lock keeps a racing creation from
-// compiling the same shape twice.
-func (c *planCache) get(cfg radar.Config, p fmcw.Params) *radar.FrontEndPlan {
-	key := planKey{cfg: cfg, params: p}
-	c.mu.Lock()
-	pl := c.plans[key]
-	if pl == nil {
-		pl = radar.CompileFrontEndPlan(cfg, p)
-		c.plans[key] = pl
-	}
-	c.mu.Unlock()
-	return pl
-}
-
-// getSynth is get for synthesis plans: rooms simulating one frame shape share
-// one fmcw.SynthPlan (keyed by Params alone — synthesis is independent of the
-// processing config), compiled under the cache lock on first use.
-func (c *planCache) getSynth(p fmcw.Params) *fmcw.SynthPlan {
-	c.mu.Lock()
-	pl := c.synth[p]
-	if pl == nil {
-		pl = fmcw.CompileSynthPlan(p)
-		c.synth[p] = pl
-	}
-	c.mu.Unlock()
-	return pl
-}
 
 // shard is one slice of the room table: its own lock, its own map, its own
 // counters, so room lookup and per-frame accounting never contend across
@@ -94,7 +34,6 @@ type shard struct {
 // protocol; the HTTP layer in this package is a thin translation onto it.
 type Manager struct {
 	shards []*shard
-	plans  *planCache
 
 	// baseCtx parents every room's context; cancel hard-stops all rooms
 	// (the drain-deadline fallback). The caller's ctx passed to NewManager
@@ -119,7 +58,7 @@ func NewManager(ctx context.Context, shards int) *Manager {
 	if shards <= 0 {
 		shards = 8
 	}
-	m := &Manager{shards: make([]*shard, shards), plans: newPlanCache()}
+	m := &Manager{shards: make([]*shard, shards)}
 	for i := range m.shards {
 		m.shards[i] = &shard{rooms: make(map[string]*Room)}
 	}
@@ -151,7 +90,7 @@ func (m *Manager) CreateRoom(cfg RoomConfig) (*Room, error) {
 	}
 	si := m.shardOf(cfg.ID)
 	sh := m.shards[si]
-	r, err := newRoom(cfg, si, sh, m.plans)
+	r, err := newRoom(cfg, si, sh)
 	if err != nil {
 		return nil, err
 	}

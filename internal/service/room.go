@@ -104,9 +104,10 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 // newRoom assembles a room exactly as a library caller would: session,
 // humans, ghosts, shared plan, pools, planned front end, optional Doppler,
 // tracker — in that order, so a synthetic room's output is bit-identical to
-// the same assembly run by hand. The plan comes from the manager's cache:
-// rooms with the same (config, params) shape share one compiled plan.
-func newRoom(cfg RoomConfig, shardIdx int, sh *shard, plans *planCache) (*Room, error) {
+// the same assembly run by hand. Plans are process-wide: rooms of one shape
+// share one radar.PlanFrontEnd plan, and their scenes one fmcw.PlanSynth
+// synthesis plan.
+func newRoom(cfg RoomConfig, shardIdx int, sh *shard) (*Room, error) {
 	env, err := roomByName(cfg.Room)
 	if err != nil {
 		return nil, err
@@ -145,8 +146,7 @@ func newRoom(cfg RoomConfig, shardIdx int, sh *shard, plans *planCache) (*Room, 
 		subs:     make(map[*subscriber]struct{}),
 	}
 
-	plan := plans.get(radar.DefaultConfig(), sc.Params)
-	sc.UseSynthPlan(plans.getSynth(sc.Params))
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
 	r.pools = pipeline.NewPools(sc.Params)
 	stages := pipeline.FrontEndStagesPlanned(plan, sc.Radar, r.pools)
 	if cfg.DopplerWindow > 0 {

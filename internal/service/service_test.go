@@ -67,12 +67,12 @@ func referenceTracks(t *testing.T, cfg RoomConfig) []TrackDump {
 			t.Fatal(err)
 		}
 	}
-	pr := radar.NewProcessor(radar.DefaultConfig())
+	plan := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params)
 	pools := pipeline.NewPools(sc.Params)
-	stages := pipeline.FrontEndStagesPooled(pr, sc.Radar, pools)
+	stages := pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools)
 	var trk *pipeline.TrackStage
 	if cfg.DopplerWindow > 0 {
-		stages = append(stages, pipeline.NewDopplerPooled(pr, cfg.DopplerWindow, 0, pools.Doppler))
+		stages = append(stages, pipeline.NewDopplerPlanned(plan, cfg.DopplerWindow, 0, pools.Doppler))
 		trk = pipeline.NewTrackWithVelocity(radar.TrackerConfig{}, sc.Radar)
 	} else {
 		trk = pipeline.NewTrack(radar.TrackerConfig{})
@@ -357,7 +357,7 @@ func TestQueuePolicies(t *testing.T) {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := newRoom(cfg, 0, sh, newPlanCache())
+	r, err := newRoom(cfg, 0, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestQueuePolicies(t *testing.T) {
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	rb, err := newRoom(cfg, 0, sh, newPlanCache())
+	rb, err := newRoom(cfg, 0, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestQueuePolicies(t *testing.T) {
 	}
 
 	// Pushing to a synthetic room is a mode error.
-	rs, err := newRoom(RoomConfig{ID: "synth", Frames: 4, QueueDepth: 64}, 0, sh, newPlanCache())
+	rs, err := newRoom(RoomConfig{ID: "synth", Frames: 4, QueueDepth: 64}, 0, sh)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rfprotect/internal/detect"
 	"rfprotect/internal/fmcw"
@@ -135,7 +136,28 @@ type FrameSpec struct {
 	Data [][][2]float64 `json:"data"`
 }
 
-// toFrame validates the spec's shape against dst's and fills dst in place.
+// maxSampleMagnitude bounds every ingested sample component (real or
+// imaginary). It is set by overflow headroom through the front end, for
+// any frame shape up to N = 2^20 samples per chirp and A = 2^10 antennas,
+// with B the bound:
+//
+//   - background subtraction: each difference component is at most 2B;
+//   - range FFT (window coefficients <= 1): each bin is at most 2√2·N·B in
+//     magnitude;
+//   - beamforming (unit-magnitude weights): each cell is at most
+//     2√2·A·N·B, and its power at most 8·(A·N·B)^2 <= 8·2^60·1e120 ≈ 9e138
+//     for B = 1e60 (the slow-time Doppler FFT is bounded the same way);
+//   - peak interpolation, thresholds and spoof scoring square and sum
+//     these powers: a square summed over 2^60 cells stays below 1e297,
+//     under math.MaxFloat64 (≈ 1.8e308).
+//
+// So no sample within the bound can drive a power, detection or score to
+// Inf or NaN, and every event stays encodable. Physical IF samples are
+// O(1).
+const maxSampleMagnitude = 1e60
+
+// toFrame validates the spec's shape and sample range against dst's and
+// fills dst in place.
 func (fs *FrameSpec) toFrame(dst *fmcw.Frame) error {
 	if len(fs.Data) != len(dst.Data) {
 		return fmt.Errorf("service: frame has %d antennas, room expects %d", len(fs.Data), len(dst.Data))
@@ -143,6 +165,12 @@ func (fs *FrameSpec) toFrame(dst *fmcw.Frame) error {
 	for k, row := range fs.Data {
 		if len(row) != len(dst.Data[k]) {
 			return fmt.Errorf("service: antenna %d has %d samples, room expects %d", k, len(row), len(dst.Data[k]))
+		}
+		for i, s := range row {
+			// The negated comparison also rejects NaN.
+			if !(math.Abs(s[0]) <= maxSampleMagnitude && math.Abs(s[1]) <= maxSampleMagnitude) {
+				return fmt.Errorf("service: antenna %d sample %d is out of range (component magnitude above %g)", k, i, maxSampleMagnitude)
+			}
 		}
 	}
 	dst.Time = fs.Time
