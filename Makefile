@@ -81,12 +81,14 @@ cover:
 		if [ "$$ok" != "1" ]; then echo "coverage below floor for $$pkg"; exit 1; fi; \
 	done
 
-# Bounded fuzz exploration of the stage-composition state space and the
-# spoof-detector input space; the seed corpora alone run on every plain
-# `go test`.
+# Bounded fuzz exploration of the stage-composition state space, the
+# spoof-detector input space, and the noise stream's seed space (every seed
+# must reproduce math/rand's draws bit for bit); the seed corpora alone run
+# on every plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStageComposition -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzDetect -fuzztime 10s ./internal/detect
+	$(GO) test -run '^$$' -fuzz FuzzNoiseStream -fuzztime 10s ./internal/fmcw
 
 # Daemon smoke: build rfprotectd, then drive the full lifecycle under the
 # race detector — 8 concurrent rooms × 64 frames whose exported tracks are

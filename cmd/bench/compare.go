@@ -34,9 +34,14 @@ import (
 // a floor violation means the optimization itself regressed. synth_plan is
 // the compiled-synthesis contract: the planned kernel (rotation tables +
 // scaled complex MAC, see fmcw.SynthPlan) must stay >= 2x the retained
-// legacy kernel on the identical workload.
+// legacy kernel on the identical workload. noise_stream is the noise
+// contract's cost side: fmcw's noise stream must stay >= 1.6x math/rand's
+// reseed-and-draw on one frame of identically keyed noise. Measured on a
+// 2-vCPU Xeon: 2.6x with the AVX2 seed/refill kernels, 2.0x on the scalar
+// loops (CPUs without AVX2), so the floor holds either path with headroom.
 var speedupFloors = map[string]float64{
-	"synth_plan": 2.0,
+	"synth_plan":   2.0,
+	"noise_stream": 1.6,
 }
 
 // baselineStreamLens extracts the capture lengths the baseline's streaming

@@ -297,6 +297,33 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	add("frame_synthesis_planned", 1, planned, true)
 	snap.Speedups["synth_plan"] = legacy.ns / planned.ns
 
+	// The noise-stream gate pair: one frame of AWGN (every antenna × every
+	// sample, two draws each) keyed the way synthesis keys it, from
+	// math/rand — reseed a pooled source per antenna, NormFloat64 through
+	// the Source interface, the path synthesis used to take — against
+	// Frame.AddNoise's noise stream, which yields the same bits. Both rows
+	// are measured in this run, so the noise_stream speedup is
+	// machine-independent; compare.go enforces its floor.
+	noiseFrame := fmcw.NewFrame(params, 0)
+	noiseRef := rand.New(rand.NewSource(seed))
+	noiseBase := seed
+	mathRandNoise := measure(minDur, func() {
+		noiseBase++
+		for k, row := range noiseFrame.Data {
+			noiseRef.Seed(parallel.SplitSeed(noiseBase, k))
+			for i := range row {
+				row[i] += complex(noiseRef.NormFloat64()*params.NoiseStd, noiseRef.NormFloat64()*params.NoiseStd)
+			}
+		}
+	})
+	add("noise_frame_math_rand", 1, mathRandNoise, true)
+	streamNoise := measure(minDur, func() {
+		noiseBase++
+		noiseFrame.AddNoise(noiseBase)
+	})
+	add("noise_frame_stream", 1, streamNoise, true)
+	snap.Speedups["noise_stream"] = mathRandNoise.ns / streamNoise.ns
+
 	// Single 512-point range FFT, cached plan (steady state of the radar
 	// pipeline): in place over a copy, and through the FFTTo destination-
 	// passing variant. Both are allocation-free once the plan is cached.

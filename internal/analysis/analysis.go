@@ -10,7 +10,7 @@
 //
 //   - seedsplit: randomness must be reproducible for any worker count —
 //     no global math/rand source, no ad-hoc seed arithmetic in place of
-//     parallel.SplitSeed.
+//     parallel.SplitSeed, and fmcw's noise streams keyed by SplitSeed.
 //   - ctxflow: a function that receives a context must thread it, and
 //     must not synthesize context.Background()/TODO() outside main
 //     packages, tests, and annotated legacy wrappers.

@@ -10,7 +10,7 @@ import (
 // count, which randomized code guarantees only when every independent unit
 // of work derives its own stream with parallel.SplitSeed.
 //
-// Three rules:
+// Four rules:
 //
 //  1. No global math/rand source. rand.Intn, rand.Float64, rand.Shuffle
 //     and friends draw from a process-wide stream whose consumption order
@@ -26,6 +26,12 @@ import (
 //     constructs a source must derive it via parallel.SplitSeed: a
 //     captured base seed — split or not — decides which stream each
 //     concurrent unit owns, and only SplitSeed keys it on the unit index.
+//  4. A noise stream's seed method — (*noiseStream).seed, fmcw's
+//     math/rand-compatible generator, matched by type name so fixtures can
+//     declare their own — must be passed a parallel.SplitSeed(...) result
+//     directly. It replaces rand.NewSource on the synthesis hot path, and
+//     the per-antenna key SplitSeed(base, k) is what makes a frame's noise
+//     independent of the worker schedule.
 var SeedSplit = &Analyzer{
 	Name: "seedsplit",
 	Doc: "flags global math/rand use and ad-hoc seed arithmetic that bypasses " +
@@ -52,7 +58,17 @@ func runSeedSplit(p *Pass) error {
 				return true
 			}
 			fn := calleeFunc(p.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "math/rand" {
+			if fn == nil || fn.Pkg() == nil {
+				return true
+			}
+			if isNoiseStreamSeed(fn) {
+				if len(call.Args) == 1 && !isSplitSeedCall(p.TypesInfo, call.Args[0]) {
+					p.Reportf(call.Pos(),
+						"noiseStream.seed must be keyed by parallel.SplitSeed(base, k) directly, so each antenna's noise stream depends only on (base, k)")
+				}
+				return true
+			}
+			if fn.Pkg().Path() != "math/rand" {
 				return true
 			}
 			if globalRandFuncs[fn.Name()] && funcSig(fn).Recv() == nil {
@@ -128,6 +144,21 @@ func isSplitSeedCall(info *types.Info, e ast.Expr) bool {
 	fn := calleeFunc(info, call)
 	return fn != nil && fn.Name() == "SplitSeed" && fn.Pkg() != nil &&
 		pathEndsWith(fn.Pkg().Path(), "parallel")
+}
+
+// isNoiseStreamSeed reports whether fn is the seed method of a type named
+// noiseStream (pointer or value receiver).
+func isNoiseStreamSeed(fn *types.Func) bool {
+	recv := funcSig(fn).Recv()
+	if fn.Name() != "seed" || recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "noiseStream"
 }
 
 // hasSeedArithmetic reports whether e contains a binary arithmetic

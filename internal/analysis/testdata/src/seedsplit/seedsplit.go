@@ -1,7 +1,8 @@
 // Package seedsplit is the golden fixture for the seedsplit analyzer:
 // positive cases for the global math/rand source, ad-hoc seed arithmetic,
-// and unsplit worker closures; negative cases for SplitSeed-derived
-// streams, fixed literal seeds, and an annotated deliberate bypass.
+// unsplit worker closures, and a noise stream keyed without SplitSeed;
+// negative cases for SplitSeed-derived streams, fixed literal seeds, and
+// an annotated deliberate bypass.
 package seedsplit
 
 import (
@@ -58,4 +59,20 @@ func fixed() *rand.Rand {
 // allowed documents a deliberate offset with the escape hatch.
 func allowed(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed + 7)) //rfvet:allow seedsplit -- fixture: deliberate offset
+}
+
+// noiseStream stands in for fmcw's math/rand-compatible noise generator,
+// whose seed method takes the place of rand.NewSource.
+type noiseStream struct{ state int64 }
+
+func (s *noiseStream) seed(seed int64) { s.state = seed }
+
+// noiseUnsplit keys every antenna's stream with the same base seed.
+func noiseUnsplit(s *noiseStream, base int64) {
+	s.seed(base) // want `noiseStream.seed must be keyed by parallel.SplitSeed`
+}
+
+// noiseSplit keys antenna k's stream on (base, k).
+func noiseSplit(s *noiseStream, base int64, k int) {
+	s.seed(parallel.SplitSeed(base, k))
 }

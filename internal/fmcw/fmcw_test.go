@@ -174,7 +174,7 @@ func TestAddNoiseStatistics(t *testing.T) {
 	p := DefaultParams()
 	p.NoiseStd = 0.5
 	fr := NewFrame(p, 0)
-	fr.AddNoise(rand.New(rand.NewSource(7)))
+	fr.AddNoise(7)
 	var sum, sumSq float64
 	n := 0
 	for k := range fr.Data {

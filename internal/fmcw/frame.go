@@ -127,8 +127,8 @@ func SynthesizeCtx(ctx context.Context, p Params, returns []Return, at float64, 
 // select the configuration and capture time. dst must be zeroed — a frame
 // fresh from NewFrame or FramePool.Get — because synthesis adds
 // contributions on top of the existing samples. It performs no frame
-// allocation; per-antenna noise streams come from a pooled source reseeded
-// with parallel.SplitSeed, so the bits are identical to SynthesizeCtx for
+// allocation; per-antenna noise comes from pooled streams keyed by
+// parallel.SplitSeed, so the bits are identical to SynthesizeCtx for
 // the same (rng state, Params, Time, returns) regardless of pooling or
 // worker count. On cancellation dst holds partial data and must be
 // discarded (or Reset) by the caller.
@@ -177,14 +177,12 @@ type synthJob struct {
 }
 
 // antenna synthesizes antenna k's row; it is the per-index unit handed to
-// parallel.ForEachCtx and touches only row k plus its own pooled rng.
+// parallel.ForEachCtx and touches only row k plus its own pooled noise
+// stream.
 func (j *synthJob) antenna(k int) {
 	j.dst.addReturnsAntenna(k, j.returns)
 	if j.noisy {
-		r := getNoiseRng()
-		r.Seed(parallel.SplitSeed(j.base, k))
-		j.dst.addNoiseRow(k, r)
-		putNoiseRng(r)
+		addNoise(j.dst.Data[k], j.dst.Params.NoiseStd, j.base, k)
 	}
 }
 
@@ -219,40 +217,6 @@ func putSynthJob(j *synthJob) {
 	synthJobs.mu.Lock()
 	synthJobs.free = append(synthJobs.free, j)
 	synthJobs.mu.Unlock()
-}
-
-// noiseRngs pools the per-antenna noise generators so steady-state
-// synthesis stops allocating a rand.Rand (and its ~5 KiB source state) per
-// antenna per frame. Reseeding a pooled source with Seed(s) reproduces
-// exactly the state rand.New(rand.NewSource(s)) would have, so the noise
-// bits are unchanged; the stream still depends only on (base, antenna).
-// A mutex-guarded free list rather than sync.Pool: pooled sources survive
-// GC cycles between frames, and race-detector builds (where sync.Pool
-// deliberately drops items) keep the exact-zero allocation contract.
-var noiseRngs struct {
-	mu   sync.Mutex
-	free []*rand.Rand
-}
-
-func getNoiseRng() *rand.Rand {
-	noiseRngs.mu.Lock()
-	var r *rand.Rand
-	if n := len(noiseRngs.free); n > 0 {
-		r = noiseRngs.free[n-1]
-		noiseRngs.free[n-1] = nil
-		noiseRngs.free = noiseRngs.free[:n-1]
-	}
-	noiseRngs.mu.Unlock()
-	if r == nil {
-		r = rand.New(rand.NewSource(0))
-	}
-	return r
-}
-
-func putNoiseRng(r *rand.Rand) {
-	noiseRngs.mu.Lock()
-	noiseRngs.free = append(noiseRngs.free, r)
-	noiseRngs.mu.Unlock()
 }
 
 // AddReturns accumulates the beat contributions of the given returns into
@@ -298,25 +262,17 @@ func (f *Frame) addReturnsAntenna(k int, returns []Return) {
 	}
 }
 
-// AddNoise adds circular complex Gaussian noise of standard deviation
-// Params.NoiseStd per I/Q component, consuming rng sequentially across the
-// whole frame. SynthesizeWorkers uses per-antenna split streams instead so
-// its output does not depend on the worker schedule.
-func (f *Frame) AddNoise(rng *rand.Rand) {
+// AddNoise adds the frame's noise for base seed base: circular complex
+// Gaussian noise of standard deviation Params.NoiseStd per I/Q component,
+// antenna k drawing from the stream keyed by parallel.SplitSeed(base, k).
+// It is exactly the noise a synthesis adds when its rng yields base as the
+// noise draw (see noise.go for the contract).
+func (f *Frame) AddNoise(base int64) {
 	if f.Params.NoiseStd <= 0 {
 		return
 	}
-	for k := range f.Data {
-		f.addNoiseRow(k, rng)
-	}
-}
-
-// addNoiseRow adds noise to antenna k's row only, from the given stream.
-func (f *Frame) addNoiseRow(k int, rng *rand.Rand) {
-	std := f.Params.NoiseStd
-	row := f.Data[k]
-	for i := range row {
-		row[i] += complex(rng.NormFloat64()*std, rng.NormFloat64()*std)
+	for k, row := range f.Data {
+		addNoise(row, f.Params.NoiseStd, base, k)
 	}
 }
 

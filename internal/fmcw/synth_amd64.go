@@ -8,9 +8,18 @@ package fmcw
 // toggle it to compare the vector and scalar paths bit for bit.
 var useSynthAVX = synthCPUHasAVX()
 
+// useNoiseAVX2 gates the noise stream's integer kernels (seed chains and
+// register refill), which need AVX2's 256-bit integer ops on top of the
+// AVX gate. Integer arithmetic has no rounding, so the vector kernels equal
+// the scalar loops exactly; tests toggle the flag to check it.
+var useNoiseAVX2 = synthCPUHasAVX() && synthCPUHasAVX2()
+
 // synthCPUHasAVX reports whether the CPU executes AVX instructions and the
 // OS preserves ymm state across context switches.
 func synthCPUHasAVX() bool
+
+// synthCPUHasAVX2 reports whether the CPU executes AVX2 instructions.
+func synthCPUHasAVX2() bool
 
 // synthTabAVX continues the 4-stride phasor recurrence tab[i] = tab[i-4]·s4
 // for i in [4, n), four complexes per iteration across two ymm chains, with
@@ -31,3 +40,21 @@ func synthTabAVX(tab *complex128, n int, s4r, s4i float64)
 //
 //go:noescape
 func synthMacAVX(row, tab *complex128, n int, cr, ci float64)
+
+// noiseSeedAVX2 writes n seeded register words (n a multiple of 8), eight
+// per iteration in two groups of four: lane l of x[0:4], x[4:8], x[8:12]
+// holds the high, middle and low seed-chain values of word l, x[12:24] the
+// same for words 4..7, and each lane steps by step = A²⁴ per iteration; on
+// return x holds words n..n+7's. Each word is exactly noiseStream.seed's
+// scalar expression. Implemented in synth_amd64.s.
+//
+//go:noescape
+func noiseSeedAVX2(vec, cooked *int64, n int, x *[24]uint64, step uint64)
+
+// noiseAddAVX2 performs dst[j] += src[j] for j from n−1 down to 0 (n a
+// multiple of 4), four lanes at a time from the top: refill's recurrence,
+// whose read-after-write lag of 273 leaves every group of four
+// independent. Implemented in synth_amd64.s.
+//
+//go:noescape
+func noiseAddAVX2(dst, src *int64, n int)

@@ -112,3 +112,126 @@ TEXT ·synthCPUHasAVX(SB), NOSPLIT, $0-1
 no:
 	MOVB $0, ret+0(FP)
 	RET
+
+// func synthCPUHasAVX2() bool
+//
+// CPUID leaf 7 (subleaf 0): EBX bit 5 = AVX2, after checking leaf 7
+// exists. Callers also require synthCPUHasAVX for the OS ymm-state check.
+TEXT ·synthCPUHasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  no2
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x20, BX
+	JE   no2
+	MOVB $1, ret+0(FP)
+	RET
+
+no2:
+	MOVB $0, ret+0(FP)
+	RET
+
+// One step of the three-chain seed LCG on four lanes:
+// x ← x·A mod (2³¹−1) with A broadcast in Y7, the modulus in Y6 and
+// modulus−1 in Y5 (for the t ≥ M test); Y8 is a temporary. Integer ops only,
+// so every lane equals mulModSeed exactly.
+#define MULMOD_SEED(x) \
+	VPMULUDQ Y7, x, x \
+	VPSRLQ   $31, x, Y8 \
+	VPAND    Y6, x, x \
+	VPADDQ   Y8, x, x \
+	VPCMPGTQ Y5, x, Y8 \
+	VPAND    Y6, Y8, Y8 \
+	VPSUBQ   Y8, x, x
+
+// func noiseSeedAVX2(vec, cooked *int64, n int, x *[24]uint64, step uint64)
+//
+// Fills vec[i] = H<<40 ^ M<<20 ^ L ^ cooked[i] for i in [0, n), n a
+// multiple of 8, eight words per iteration in two independent groups of
+// four (so the multiply latency of one group hides behind the other):
+// x[0:4], x[4:8], x[8:12] hold the high, middle and low chain values of
+// words 0..3, x[12:24] the same for words 4..7, and every lane steps by
+// step (A²⁴) per iteration. On return x holds the chain values for words
+// n..n+7.
+TEXT ·noiseSeedAVX2(SB), NOSPLIT, $0-40
+	MOVQ         vec+0(FP), DI
+	MOVQ         cooked+8(FP), SI
+	MOVQ         n+16(FP), DX
+	MOVQ         x+24(FP), R8
+	VPBROADCASTQ step+32(FP), Y7
+	MOVQ         $0x7fffffff, AX
+	MOVQ         AX, X6
+	VPBROADCASTQ X6, Y6
+	MOVQ         $0x7ffffffe, AX
+	MOVQ         AX, X5
+	VPBROADCASTQ X5, Y5
+	VMOVDQU      0(R8), Y0
+	VMOVDQU      32(R8), Y1
+	VMOVDQU      64(R8), Y2
+	VMOVDQU      96(R8), Y9
+	VMOVDQU      128(R8), Y10
+	VMOVDQU      160(R8), Y11
+
+	SHLQ  $3, DX
+	XORQ  CX, CX
+	TESTQ DX, DX
+	JE    seeddone
+
+seedloop:
+	VPSLLQ  $40, Y0, Y3
+	VPSLLQ  $20, Y1, Y4
+	VPXOR   Y4, Y3, Y3
+	VPXOR   Y2, Y3, Y3
+	VPXOR   (SI)(CX*1), Y3, Y3
+	VMOVDQU Y3, (DI)(CX*1)
+	VPSLLQ  $40, Y9, Y3
+	VPSLLQ  $20, Y10, Y4
+	VPXOR   Y4, Y3, Y3
+	VPXOR   Y11, Y3, Y3
+	VPXOR   32(SI)(CX*1), Y3, Y3
+	VMOVDQU Y3, 32(DI)(CX*1)
+	MULMOD_SEED(Y0)
+	MULMOD_SEED(Y9)
+	MULMOD_SEED(Y1)
+	MULMOD_SEED(Y10)
+	MULMOD_SEED(Y2)
+	MULMOD_SEED(Y11)
+	ADDQ    $64, CX
+	CMPQ    CX, DX
+	JLT     seedloop
+
+seeddone:
+	VMOVDQU Y0, 0(R8)
+	VMOVDQU Y1, 32(R8)
+	VMOVDQU Y2, 64(R8)
+	VMOVDQU Y9, 96(R8)
+	VMOVDQU Y10, 128(R8)
+	VMOVDQU Y11, 160(R8)
+	VZEROUPPER
+	RET
+
+// func noiseAddAVX2(dst, src *int64, n int)
+//
+// dst[j] += src[j] for j from n−1 down to 0, n a multiple of 4, four lanes
+// per iteration from the top. dst and src may overlap as long as no element
+// is read within three iterations of being written (refill's lag is 273).
+TEXT ·noiseAddAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX
+
+addloop:
+	SUBQ    $32, CX
+	JLT     adddone
+	VMOVDQU (SI)(CX*1), Y0
+	VPADDQ  (DI)(CX*1), Y0, Y0
+	VMOVDQU Y0, (DI)(CX*1)
+	JMP     addloop
+
+adddone:
+	VZEROUPPER
+	RET

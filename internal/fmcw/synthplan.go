@@ -246,9 +246,11 @@ func buildPhasorTab(tab []complex128, sr, si float64) {
 // antenna accumulates every active return into antenna k's row, then adds
 // antenna k's noise stream — the phase-2 unit of the fan-out. It reads the
 // shared tables (complete after the phase-1 barrier) and writes only row k
-// plus its own pooled rng, so any worker width produces the same bits; per
-// sample, returns accumulate in compacted order, the same relative order as
-// the legacy kernel.
+// plus its own pooled noise stream, so any worker width produces the same
+// bits; per sample, returns accumulate in compacted order, the same
+// relative order as the legacy kernel.
+//
+//rfvet:allocfree
 func (e *synthExec) antenna(k int) {
 	pl := e.pl
 	row := e.dst.Data[k]
@@ -262,10 +264,7 @@ func (e *synthExec) antenna(k int) {
 		macRow(row, e.tab[r*n:(r+1)*n], cr, ci)
 	}
 	if e.noisy {
-		rng := getNoiseRng()
-		rng.Seed(parallel.SplitSeed(e.base, k))
-		e.dst.addNoiseRow(k, rng)
-		putNoiseRng(rng)
+		addNoise(row, pl.params.NoiseStd, e.base, k)
 	}
 }
 
