@@ -82,13 +82,15 @@ cover:
 	done
 
 # Bounded fuzz exploration of the stage-composition state space, the
-# spoof-detector input space, and the noise stream's seed space (every seed
-# must reproduce math/rand's draws bit for bit); the seed corpora alone run
-# on every plain `go test`.
+# spoof-detector input space, the noise stream's seed space (every seed
+# must reproduce math/rand's draws bit for bit), and Return field extremes
+# through synthesis (no panic, worker-count bit-identity even for NaN/Inf
+# samples); the seed corpora alone run on every plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStageComposition -fuzztime 10s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz FuzzDetect -fuzztime 10s ./internal/detect
 	$(GO) test -run '^$$' -fuzz FuzzNoiseStream -fuzztime 10s ./internal/fmcw
+	$(GO) test -run '^$$' -fuzz FuzzSynthReturnExtremes -fuzztime 10s ./internal/fmcw
 
 # Daemon smoke: build rfprotectd, then drive the full lifecycle under the
 # race detector — 8 concurrent rooms × 64 frames whose exported tracks are

@@ -194,10 +194,13 @@ func BenchmarkPipelineFrameSynthesis(b *testing.B) {
 	params := fmcw.DefaultParams()
 	returns := pipelineReturns()
 	rng := rand.New(rand.NewSource(1))
+	plan := fmcw.PlanSynth(params)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fmcw.SynthesizeWorkers(params, returns, 0, rng, workers)
+				if err := plan.SynthesizeInto(nil, fmcw.NewFrame(params, 0), returns, rng, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -325,7 +328,10 @@ func BenchmarkDopplerStage(b *testing.B) {
 	sess := streamingSession(b)
 	sc := sess.Scene
 	rng := rand.New(rand.NewSource(1))
-	frame := sc.FrameAt(0, rng)
+	frame, err := sc.FrameAt(nil, 0, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
 	pool := radar.NewDopplerPool()
 	dop := pipeline.NewDopplerPlanned(radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params), 8, 0, pool)
 	ctx := context.Background()

@@ -95,14 +95,52 @@ func TestCompareSnapshotsRowMismatch(t *testing.T) {
 	base := snap([]Result{{Name: "a"}, {Name: "b"}}, nil)
 	run := snap([]Result{{Name: "a"}, {Name: "c"}}, nil)
 	fails := compareSnapshots(base, run, 4)
-	if len(fails) != 1 || !strings.Contains(fails[0], "regenerate") {
-		t.Fatalf("want one name-mismatch failure, got %v", fails)
+	if len(fails) != 2 || !strings.Contains(fails[0], `"b" is in the baseline but not the run`) ||
+		!strings.Contains(fails[1], `"c" is in the run but not the baseline`) {
+		t.Fatalf("want a missing-row and an extra-row failure, got %v", fails)
 	}
 
 	run = snap([]Result{{Name: "a"}}, nil)
 	fails = compareSnapshots(base, run, 4)
-	if len(fails) != 1 || !strings.Contains(fails[0], "result rows") {
-		t.Fatalf("want one row-count failure, got %v", fails)
+	if len(fails) != 1 || !strings.Contains(fails[0], "regenerate") {
+		t.Fatalf("want one missing-row failure, got %v", fails)
+	}
+
+	base = snap(nil, []StreamResult{{Name: "s", Frames: 64}, {Name: "s", Frames: 256}})
+	run = snap(nil, []StreamResult{{Name: "s", Frames: 64}, {Name: "s", Frames: 128}})
+	fails = compareSnapshots(base, run, 4)
+	if len(fails) != 2 || !strings.Contains(fails[0], "256 frames") || !strings.Contains(fails[1], "128 frames") {
+		t.Fatalf("want a missing and an extra streaming row, got %v", fails)
+	}
+}
+
+// TestCompareSnapshotsMatchesRowsByName: rows pair up by name wherever
+// they sit, so a reorder alone passes while the gates still apply to the
+// right pairs; a duplicated name is a harness error.
+func TestCompareSnapshotsMatchesRowsByName(t *testing.T) {
+	base := snap([]Result{
+		{Name: "a", Workers: 1, NsPerOp: 1000},
+		{Name: "b", Workers: 1, NsPerOp: 10},
+	}, nil)
+	run := snap([]Result{
+		{Name: "b", Workers: 1, NsPerOp: 10},
+		{Name: "a", Workers: 1, NsPerOp: 1000},
+	}, nil)
+	if fails := compareSnapshots(base, run, 4); len(fails) != 0 {
+		t.Fatalf("reordered rows should pass, got %v", fails)
+	}
+	// Positional matching would compare b's 10 ns against a's 1000 ns and
+	// pass; by name, b regressed 100×.
+	run.Results[0].NsPerOp = 1000
+	fails := compareSnapshots(base, run, 4)
+	if len(fails) != 1 || !strings.HasPrefix(fails[0], "b ") {
+		t.Fatalf("want one ns/op failure on b, got %v", fails)
+	}
+
+	run = snap([]Result{{Name: "a"}, {Name: "a"}, {Name: "b"}}, nil)
+	fails = compareSnapshots(base, run, 4)
+	if len(fails) != 1 || !strings.Contains(fails[0], "unique") {
+		t.Fatalf("want one duplicate-name failure, got %v", fails)
 	}
 }
 

@@ -110,7 +110,7 @@ type sample struct {
 // measureSamples is the min-of-K sub-sampling width: measure splits its
 // window into this many independently timed sub-windows and reports the
 // fastest one's mean ns/op. A single mean absorbs whatever the OS did
-// during the window (5–10 % run-to-run jitter on the duplicate
+// during the window (5–10 % run-to-run jitter on the
 // frame_synthesis/batch_fft rows), which eats gate headroom; the minimum of
 // K means is a far more stable estimate of the code's actual cost, since
 // interference only ever makes a sub-window slower.
@@ -225,10 +225,9 @@ func main() {
 	writeSnapshot(*out, &snap)
 }
 
-// runSnapshot performs every measurement and assembles the snapshot. Row
-// order is part of the de-facto schema: -baseline matches rows by position
-// (checking names), so new rows belong at stable points and a reorder means
-// regenerating the committed baseline.
+// runSnapshot performs every measurement and assembles the snapshot. Each
+// row name is unique: -baseline matches rows by name, so adding, renaming
+// or removing a row means regenerating the committed baseline.
 func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool) Snapshot {
 	snap := Snapshot{
 		Schema:     snapshotSchema,
@@ -251,51 +250,42 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 
 	// Frame synthesis: the per-frame beat-signal accumulation that
 	// dominates every experiment. 64 returns ≈ a cluttered multipath room.
+	// Every row synthesizes into a frame from a FramePool and returns it, so
+	// the single-worker rows are allocation-free steady states.
 	params := fmcw.DefaultParams()
 	returns := synthReturns(64, seed)
 	rng := rand.New(rand.NewSource(seed))
-	seq := measure(minDur, func() { fmcw.SynthesizeWorkers(params, returns, 0, rng, 1) })
-	add("frame_synthesis", 1, seq, false)
-	par := measure(minDur, func() { fmcw.SynthesizeWorkers(params, returns, 0, rng, 0) })
-	add("frame_synthesis", runtime.GOMAXPROCS(0), par, false)
-	snap.Speedups["frame_synthesis"] = seq.ns / par.ns
-
-	// The same synthesis through the pooled destination-passing path: frame
-	// from a FramePool, SynthesizeInto, frame back to the pool. Bit-identical
-	// output (see internal/fmcw tests); steady state allocates nothing.
 	pool := fmcw.NewFramePool(params)
-	into := measure(minDur, func() {
-		f := pool.Get(0)
-		if err := fmcw.SynthesizeInto(nil, f, returns, rng, 1); err != nil {
-			fatal("synthesize-into", err)
-		}
-		pool.Put(f)
-	})
-	add("frame_synthesis_into_pooled", 1, into, true)
 
-	// The synthesis-plan gate pair: the retained legacy kernel (serial
-	// per-(return × antenna) phasor recurrence) against the compiled plan
-	// (per-return rotation tables + scaled complex MAC) on the identical
-	// workload. Both rows are measured in this run, so the synth_plan
-	// speedup is machine-independent; compare.go enforces its floor.
+	// The synthesis-plan gate pair: the serial reference (Frame.AddReturns,
+	// the per-(return × antenna) phasor recurrence, plus AddNoise for the
+	// one base draw) against the compiled plan (per-return rotation tables
+	// + scaled complex MAC) on the identical workload. Both rows are
+	// measured in this run, so the synth_plan speedup is
+	// machine-independent; compare.go enforces its floor.
 	legacy := measure(minDur, func() {
 		f := pool.Get(0)
-		if err := fmcw.SynthesizeLegacyInto(nil, f, returns, rng, 1); err != nil {
-			fatal("synthesize-legacy", err)
-		}
+		f.AddReturns(returns)
+		f.AddNoise(rng.Int63())
 		pool.Put(f)
 	})
 	add("frame_synthesis_legacy", 1, legacy, true)
 	splan := fmcw.PlanSynth(params)
-	planned := measure(minDur, func() {
-		f := pool.Get(0)
-		if err := splan.SynthesizeInto(nil, f, returns, rng, 1); err != nil {
-			fatal("synthesize-planned", err)
-		}
-		pool.Put(f)
-	})
+	synthRow := func(workers int) sample {
+		return measure(minDur, func() {
+			f := pool.Get(0)
+			if err := splan.SynthesizeInto(nil, f, returns, rng, workers); err != nil {
+				fatal("synthesize-planned", err)
+			}
+			pool.Put(f)
+		})
+	}
+	planned := synthRow(1)
 	add("frame_synthesis_planned", 1, planned, true)
 	snap.Speedups["synth_plan"] = legacy.ns / planned.ns
+	plannedPar := synthRow(0)
+	add("frame_synthesis_planned_parallel", runtime.GOMAXPROCS(0), plannedPar, false)
+	snap.Speedups["frame_synthesis"] = planned.ns / plannedPar.ns
 
 	// The noise-stream gate pair: one frame of AWGN (every antenna × every
 	// sample, two draws each) keyed the way synthesis keys it, from
@@ -385,7 +375,7 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	bseq := measure(minDur, func() { dsp.FFTEach(batch, 1) })
 	add("batch_fft_64x512", 1, bseq, false)
 	bpar := measure(minDur, func() { dsp.FFTEach(batch, 0) })
-	add("batch_fft_64x512", runtime.GOMAXPROCS(0), bpar, false)
+	add("batch_fft_64x512_parallel", runtime.GOMAXPROCS(0), bpar, false)
 	snap.Speedups["batch_fft"] = bseq.ns / bpar.ns
 
 	// Pooled hot-path kernels, one row per stage of the steady-state frame
@@ -393,8 +383,8 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	// range-FFT + beamform kernel into a reused Profile, and the Doppler
 	// burst kernel into a reused map. All three are single-worker pooled
 	// steady states — the allocation count must be exactly zero.
-	frameA := fmcw.SynthesizeWorkers(params, returns, 0, rand.New(rand.NewSource(seed)), 1)
-	frameB := fmcw.SynthesizeWorkers(params, returns[:len(returns)/2], 1/params.FrameRate, rand.New(rand.NewSource(parallel.SplitSeed(seed, 1))), 1)
+	frameA := fmcw.Synthesize(params, returns, 0, rand.New(rand.NewSource(seed)))
+	frameB := fmcw.Synthesize(params, returns[:len(returns)/2], 1/params.FrameRate, rand.New(rand.NewSource(parallel.SplitSeed(seed, 1))))
 	var dif fmcw.Differencer
 	dif.UsePool(pool)
 	flip := false
@@ -424,7 +414,7 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 
 	chirps := make([]*fmcw.Frame, 8)
 	for i := range chirps {
-		chirps[i] = fmcw.SynthesizeWorkers(params, returns, float64(i)/params.FrameRate, rng, 1)
+		chirps[i] = fmcw.Synthesize(params, returns, float64(i)/params.FrameRate, rng)
 	}
 	var rdMap radar.RangeDopplerMap
 	rdS := measure(minDur, func() {
@@ -627,7 +617,7 @@ func dopplerStageRun(seed int64) func() {
 	params := fmcw.DefaultParams()
 	rng := rand.New(rand.NewSource(seed))
 	returns := synthReturns(4, seed)
-	frame := fmcw.SynthesizeWorkers(params, returns, 0, rng, 1)
+	frame := fmcw.Synthesize(params, returns, 0, rng)
 	cfg := radar.DefaultConfig()
 	cfg.Workers = 1
 	dpool := radar.NewDopplerPool()

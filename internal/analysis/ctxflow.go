@@ -15,8 +15,8 @@ import (
 //     context.Background() or context.TODO(): the received ctx (or a
 //     context derived from it) is the only root in scope.
 //  2. A function that receives a context must not call the context-free
-//     variant of a first-party API whose *Ctx sibling exists (FrameAt vs
-//     FrameAtCtx, ForEach vs ForEachCtx, ...): calling the bare variant
+//     variant of a first-party API whose *Ctx sibling exists (ForEach vs
+//     ForEachCtx, Fig10 vs Fig10Ctx, ...): calling the bare variant
 //     silently detaches the subtree from cancellation.
 //  3. Outside package main and tests, context.Background()/TODO() is
 //     forbidden everywhere: roots are created at the edges (main, signal

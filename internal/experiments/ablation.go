@@ -113,12 +113,12 @@ func AblationCtx(ctx context.Context, seed int64) (AblationResult, error) {
 	}
 
 	// --- Amplitude control.
-	humanPeak, err := peakPowerOfHuman(params, seed+3)
+	humanPeak, err := peakPowerOfHuman(ctx, params, seed+3)
 	if err != nil {
 		return res, err
 	}
 	for _, mode := range []reflector.AmplitudeMode{reflector.AmplitudeMatchHuman, reflector.AmplitudeRaw} {
-		p, err := peakPowerOfGhost(params, mode, seed+3)
+		p, err := peakPowerOfGhost(ctx, params, mode, seed+3)
 		if err != nil {
 			return res, err
 		}
@@ -131,19 +131,19 @@ func AblationCtx(ctx context.Context, seed int64) (AblationResult, error) {
 	return res, nil
 }
 
-func peakPowerOfHuman(params fmcw.Params, seed int64) (float64, error) {
+func peakPowerOfHuman(ctx context.Context, params fmcw.Params, seed int64) (float64, error) {
 	sc := scene.NewScene(scene.HomeRoom(), params)
 	sc.Multipath = false
 	sc.Room.Speckle = 0
 	sc.Humans = []*scene.Human{scene.NewHuman(geom.Trajectory{{X: 7, Y: 3.5}, {X: 7.4, Y: 3.9}}, 1)}
-	rng := rand.New(rand.NewSource(seed))
-	f0 := sc.FrameAt(0, rng)
-	f1 := sc.FrameAt(0.3, rng)
-	prof := radar.NewProcessor(radar.DefaultConfig()).RangeAngle(f1.Sub(f0))
+	prof, err := differenceProfile(ctx, sc, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return 0, err
+	}
 	return maxOf(prof.Power), nil
 }
 
-func peakPowerOfGhost(params fmcw.Params, mode reflector.AmplitudeMode, seed int64) (float64, error) {
+func peakPowerOfGhost(ctx context.Context, params fmcw.Params, mode reflector.AmplitudeMode, seed int64) (float64, error) {
 	room := scene.HomeRoom()
 	room.Speckle = 0
 	sess, err := core.NewSession(core.SessionConfig{Room: room, Params: params, NoMultipath: true})
@@ -156,10 +156,10 @@ func peakPowerOfGhost(params fmcw.Params, mode reflector.AmplitudeMode, seed int
 	if _, err := ctl.ProgramForRadar(traj, sc.Radar, 1, 0); err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	f0 := sc.FrameAt(0, rng)
-	f1 := sc.FrameAt(0.3, rng)
-	prof := radar.NewProcessor(radar.DefaultConfig()).RangeAngle(f1.Sub(f0))
+	prof, err := differenceProfile(ctx, sc, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return 0, err
+	}
 	return maxOf(prof.Power), nil
 }
 

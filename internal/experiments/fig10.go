@@ -37,63 +37,38 @@ func Fig10(sz Sizes, seed int64) (Fig10Result, error) {
 	return Fig10Ctx(nil, sz, seed)
 }
 
-// Fig10Ctx is Fig10 with cooperative cancellation through the trajectory
-// measurement; a nil ctx never cancels.
+// Fig10Ctx is Fig10 with cooperative cancellation through the profile
+// captures and the trajectory measurement; a nil ctx never cancels.
 func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 	params := fmcw.DefaultParams()
 	var res Fig10Result
 	rng := rand.New(rand.NewSource(seed))
 
 	// --- (a) human profile.
-	{
-		sc := scene.NewScene(scene.OfficeRoom(), params)
-		traj := geom.Trajectory{{X: 4, Y: 3.5}, {X: 4.4, Y: 3.9}}
-		sc.Humans = []*scene.Human{scene.NewHuman(traj, 1)}
-		f0, err := sc.FrameAtCtx(ctx, 0, rng)
-		if err != nil {
-			return res, err
-		}
-		f1, err := sc.FrameAtCtx(ctx, 0.3, rng)
-		if err != nil {
-			return res, err
-		}
-		prof := &radar.Profile{}
-		if err := radar.PlanFrontEnd(radar.DefaultConfig(), params).RangeAngleInto(ctx, f1.Sub(f0), prof); err != nil {
-			return res, err
-		}
-		res.HumanProfile = prof
-		res.HumanPeak = maxOf(res.HumanProfile.Power)
+	sc := scene.NewScene(scene.OfficeRoom(), params)
+	traj := geom.Trajectory{{X: 4, Y: 3.5}, {X: 4.4, Y: 3.9}}
+	sc.Humans = []*scene.Human{scene.NewHuman(traj, 1)}
+	prof, err := differenceProfile(ctx, sc, rng)
+	if err != nil {
+		return res, err
 	}
+	res.HumanProfile, res.HumanPeak = prof, maxOf(prof.Power)
 
 	// --- (b) ghost profile at a comparable location.
-	{
-		env, err := NewEnv(scene.OfficeRoom(), params)
-		if err != nil {
-			return res, err
-		}
-		traj := geom.Trajectory{{X: 4, Y: 3.5}, {X: 4.4, Y: 3.9}}
-		if _, err := env.Ctl.ProgramForRadar(traj, env.Scene.Radar, 1, 0); err != nil {
-			return res, err
-		}
-		f0, err := env.Scene.FrameAtCtx(ctx, 0, rng)
-		if err != nil {
-			return res, err
-		}
-		f1, err := env.Scene.FrameAtCtx(ctx, 0.3, rng)
-		if err != nil {
-			return res, err
-		}
-		prof := &radar.Profile{}
-		if err := radar.PlanFrontEnd(radar.DefaultConfig(), params).RangeAngleInto(ctx, f1.Sub(f0), prof); err != nil {
-			return res, err
-		}
-		res.GhostProfile = prof
-		res.GhostPeak = maxOf(res.GhostProfile.Power)
-	}
-
-	// --- (c) spoof one generated trajectory and measure it.
 	env, err := NewEnv(scene.OfficeRoom(), params)
 	if err != nil {
+		return res, err
+	}
+	if _, err := env.Ctl.ProgramForRadar(traj, env.Scene.Radar, 1, 0); err != nil {
+		return res, err
+	}
+	if prof, err = differenceProfile(ctx, env.Scene, rng); err != nil {
+		return res, err
+	}
+	res.GhostProfile, res.GhostPeak = prof, maxOf(prof.Power)
+
+	// --- (c) spoof one generated trajectory and measure it.
+	if env, err = NewEnv(scene.OfficeRoom(), params); err != nil {
 		return res, err
 	}
 	tr := TrainedGAN(sz, seed)
@@ -107,6 +82,26 @@ func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 	res.Spoofed = m.Measured
 	res.MeanError = geom.MeanPointwiseError(m.Measured, m.Requested)
 	return res, nil
+}
+
+// differenceProfile captures the frames at 0 and 0.3 s, subtracts them
+// (§3 background subtraction) and returns the range–angle profile of the
+// difference through the shared front-end plan. The two captures draw from
+// rng in order.
+func differenceProfile(ctx context.Context, sc *scene.Scene, rng *rand.Rand) (*radar.Profile, error) {
+	f0, err := sc.FrameAt(ctx, 0, rng)
+	if err != nil {
+		return nil, err
+	}
+	f1, err := sc.FrameAt(ctx, 0.3, rng)
+	if err != nil {
+		return nil, err
+	}
+	prof := &radar.Profile{}
+	if err := radar.PlanFrontEnd(radar.DefaultConfig(), sc.Params).RangeAngleInto(ctx, f1.Sub(f0), prof); err != nil {
+		return nil, err
+	}
+	return prof, nil
 }
 
 func maxOf(xs []float64) float64 {

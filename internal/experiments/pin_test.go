@@ -78,6 +78,16 @@ func TestFrontEndOutputsPinned(t *testing.T) {
 		}
 		check(t, "fig9", 0x07fc49be6459078e, outputHash(vals...))
 	})
+	t.Run("fig10", func(t *testing.T) {
+		t.Parallel()
+		// Only the (a)/(b) profiles are pinned, to the bits they had before
+		// moving onto differenceProfile; a token GAN keeps (c) cheap.
+		r, err := Fig10(Sizes{CorpusSize: 20, GANSteps: 1}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, "fig10", 0xe9ca5d766367e387, outputHash(r.HumanProfile.Power, r.GhostProfile.Power, r.HumanPeak, r.GhostPeak))
+	})
 	t.Run("measure-ghost", func(t *testing.T) {
 		t.Parallel()
 		var vals []any

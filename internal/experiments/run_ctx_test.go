@@ -7,6 +7,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"rfprotect/internal/fmcw"
+	"rfprotect/internal/reflector"
 )
 
 // TestRunCtxCanceledBeforeSweep: a pre-canceled ctx stops the "all" sweep
@@ -17,6 +20,20 @@ func TestRunCtxCanceledBeforeSweep(t *testing.T) {
 	err := RunCtx(ctx, "all", Quick(), 1, io.Discard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunCtx = %v, want context.Canceled", err)
+	}
+}
+
+// TestAblationAmplitudeCapturesHonorCtx: the ablation's amplitude-control
+// captures stop on a canceled ctx instead of synthesizing regardless.
+func TestAblationAmplitudeCapturesHonorCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	params := fmcw.DefaultParams()
+	if _, err := peakPowerOfHuman(ctx, params, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("peakPowerOfHuman = %v, want context.Canceled", err)
+	}
+	if _, err := peakPowerOfGhost(ctx, params, reflector.AmplitudeMatchHuman, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("peakPowerOfGhost = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,12 +1,8 @@
 package fmcw
 
 import (
-	"context"
 	"math"
 	"math/rand"
-	"sync"
-
-	"rfprotect/internal/parallel"
 )
 
 // Return is one reflection arriving at the radar during a chirp. The channel
@@ -80,9 +76,10 @@ func (f *Frame) CopyFrom(g *Frame) {
 }
 
 // Synthesize produces the beat-domain frame for a set of returns at capture
-// time at, adding AWGN from rng (rng may be nil for a noiseless frame). It
-// runs with one worker per available CPU; see SynthesizeWorkers for the
-// pool-size contract and the reproducibility guarantee.
+// time at, adding AWGN from rng (rng may be nil for a noiseless frame). It is
+// the allocating form of (*SynthPlan).SynthesizeInto over the shared plan
+// for p (PlanSynth), with one worker per available CPU; the worker count
+// never changes the bits.
 //
 // For a return with delay τ, extra beat offset f_x and extra phase φ, the
 // contribution to antenna k at IF sample time t is
@@ -91,146 +88,26 @@ func (f *Frame) CopyFrom(g *Frame) {
 //
 // matching Eq. 1–2 of the paper.
 func Synthesize(p Params, returns []Return, at float64, rng *rand.Rand) *Frame {
-	return SynthesizeWorkers(p, returns, at, rng, 0)
-}
-
-// SynthesizeWorkers is Synthesize with an explicit worker-pool size
-// (workers <= 0 means one per available CPU). Antennas are synthesized
-// concurrently, each worker writing only its own antenna's row.
-//
-// Output is bit-identical for every worker count: per-antenna accumulation
-// visits returns in slice order regardless of scheduling, and noise is not
-// drawn from the shared rng inside the pool — a single base seed is drawn
-// from rng up front and split into one deterministic stream per antenna
-// (parallel.SplitSeed), so antenna k's noise depends only on (base, k).
-func SynthesizeWorkers(p Params, returns []Return, at float64, rng *rand.Rand, workers int) *Frame {
-	f, _ := SynthesizeCtx(nil, p, returns, at, rng, workers)
+	f := NewFrame(p, at)
+	// A nil ctx never cancels, so the call cannot fail.
+	_ = PlanSynth(p).SynthesizeInto(nil, f, returns, rng, 0)
 	return f
 }
 
-// SynthesizeCtx is SynthesizeWorkers with cooperative cancellation: the
-// antenna fan-out stops once ctx is done and the call returns (nil,
-// ctx.Err()). The noise base seed is drawn from rng before the fan-out
-// either way, so a canceled synthesis still consumes exactly one draw —
-// callers that retain the rng after cancellation abort the whole capture,
-// never resume it. A nil ctx is exactly SynthesizeWorkers.
-func SynthesizeCtx(ctx context.Context, p Params, returns []Return, at float64, rng *rand.Rand, workers int) (*Frame, error) {
-	f := NewFrame(p, at)
-	if err := SynthesizeInto(ctx, f, returns, rng, workers); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// SynthesizeInto is the destination-passing form of SynthesizeCtx: it
-// accumulates the returns (and noise) into dst, whose Params and Time
-// select the configuration and capture time. dst must be zeroed — a frame
-// fresh from NewFrame or FramePool.Get — because synthesis adds
-// contributions on top of the existing samples. It performs no frame
-// allocation; per-antenna noise comes from pooled streams keyed by
-// parallel.SplitSeed, so the bits are identical to SynthesizeCtx for
-// the same (rng state, Params, Time, returns) regardless of pooling or
-// worker count. On cancellation dst holds partial data and must be
-// discarded (or Reset) by the caller.
-//
-// Synthesis runs through the shared compiled SynthPlan for dst's shape
-// (PlanSynth) — the planned kernel is the defining semantics; see
-// SynthesizeLegacyInto for the retained pre-plan reference.
-//
-//rfvet:allocfree
-func SynthesizeInto(ctx context.Context, dst *Frame, returns []Return, rng *rand.Rand, workers int) error {
-	return PlanSynth(dst.Params).SynthesizeInto(ctx, dst, returns, rng, workers)
-}
-
-// SynthesizeLegacyInto is the pre-plan synthesis kernel: the serial
-// per-(return × antenna) phasor recurrence, retained as the ULP reference
-// for the planned path (tests pin the planned samples to it within a
-// relative tolerance) and as the baseline for the synth_plan speedup gate
-// in cmd/bench. Same contract as SynthesizeInto — same noise draws, same
-// worker-count bit-identity — but the sample bits differ from the planned
-// kernel's at the ULP level. New callers want SynthesizeInto.
-func SynthesizeLegacyInto(ctx context.Context, dst *Frame, returns []Return, rng *rand.Rand, workers int) error {
-	p := dst.Params
-	noisy := rng != nil && p.NoiseStd > 0
-	var base int64
-	if noisy {
-		base = rng.Int63()
-	}
-	j := getSynthJob()
-	j.dst, j.returns, j.noisy, j.base = dst, returns, noisy, base
-	err := parallel.ForEachCtx(ctx, p.NumAntennas, workers, j.fn)
-	putSynthJob(j)
-	return err
-}
-
-// synthJob carries one SynthesizeLegacyInto fan-out's state to the workers
-// through fn, a method value bound once when the job is first built and
-// recycled with it, so steady-state synthesis creates no closure: an
-// inline func literal capturing (dst, returns, noisy, base) would escape
-// to the heap on every call.
-type synthJob struct {
-	dst     *Frame
-	returns []Return
-	noisy   bool
-	base    int64
-	fn      func(int)
-}
-
-// antenna synthesizes antenna k's row; it is the per-index unit handed to
-// parallel.ForEachCtx and touches only row k plus its own pooled noise
-// stream.
-func (j *synthJob) antenna(k int) {
-	j.dst.addReturnsAntenna(k, j.returns)
-	if j.noisy {
-		addNoise(j.dst.Data[k], j.dst.Params.NoiseStd, j.base, k)
-	}
-}
-
-// synthJobs is the job free list. A mutex-guarded slice (the repo's free
-// list idiom) rather than sync.Pool so a parked job — and the one-time
-// closure bound to it — survives GC cycles between frames.
-var synthJobs struct {
-	mu   sync.Mutex
-	free []*synthJob
-}
-
-func getSynthJob() *synthJob {
-	synthJobs.mu.Lock()
-	var j *synthJob
-	if n := len(synthJobs.free); n > 0 {
-		j = synthJobs.free[n-1]
-		synthJobs.free[n-1] = nil
-		synthJobs.free = synthJobs.free[:n-1]
-	}
-	synthJobs.mu.Unlock()
-	if j == nil {
-		j = new(synthJob)
-		j.fn = j.antenna
-	}
-	return j
-}
-
-// putSynthJob parks a job, dropping its frame and returns references so a
-// parked job pins nothing.
-func putSynthJob(j *synthJob) {
-	j.dst, j.returns = nil, nil
-	synthJobs.mu.Lock()
-	synthJobs.free = append(synthJobs.free, j)
-	synthJobs.mu.Unlock()
-}
-
 // AddReturns accumulates the beat contributions of the given returns into
-// the frame, one antenna at a time.
+// the frame, one antenna at a time, by the serial per-sample phasor
+// recurrence. It is the plain statement of Eq. 1–2 that the planned kernel
+// restructures: AddReturns followed by AddNoise(rng.Int63()) is the ULP
+// reference for (*SynthPlan).SynthesizeInto.
 func (f *Frame) AddReturns(returns []Return) {
 	for k := 0; k < f.Params.NumAntennas; k++ {
 		f.addReturnsAntenna(k, returns)
 	}
 }
 
-// addReturnsAntenna accumulates every return into antenna k's row. It is
-// the per-worker unit of SynthesizeWorkers and touches no state outside
-// Data[k]; returns are added in slice order so the floating-point
-// accumulation order per sample is fixed.
+// addReturnsAntenna accumulates every return into antenna k's row. It
+// touches no state outside Data[k]; returns are added in slice order so the
+// floating-point accumulation order per sample is fixed.
 func (f *Frame) addReturnsAntenna(k int, returns []Return) {
 	p := f.Params
 	n := p.SamplesPerChirp()

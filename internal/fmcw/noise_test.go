@@ -210,9 +210,9 @@ func TestNoiseSeedArithmetic(t *testing.T) {
 }
 
 // TestNoiseMatchesMathRandReference states the noise contract end to end:
-// a returns-free synthesis — planned or legacy, any worker count — and
-// Frame.AddNoise all produce exactly the frame that math/rand streams keyed
-// by SplitSeed(base, k) produce.
+// a returns-free planned synthesis at any worker count, its reference
+// (synthReference) and Frame.AddNoise all produce exactly the frame that
+// math/rand streams keyed by SplitSeed(base, k) produce.
 func TestNoiseMatchesMathRandReference(t *testing.T) {
 	p := DefaultParams()
 	p.NoiseStd = 0.3
@@ -225,16 +225,15 @@ func TestNoiseMatchesMathRandReference(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 0} {
-		planned, legacy := NewFrame(p, 0), NewFrame(p, 0)
-		if err := SynthesizeInto(nil, planned, nil, rand.New(rand.NewSource(11)), workers); err != nil {
-			t.Fatal(err)
-		}
-		if err := SynthesizeLegacyInto(nil, legacy, nil, rand.New(rand.NewSource(11)), workers); err != nil {
+		planned := NewFrame(p, 0)
+		if err := PlanSynth(p).SynthesizeInto(nil, planned, nil, rand.New(rand.NewSource(11)), workers); err != nil {
 			t.Fatal(err)
 		}
 		framesEqualBits(t, "planned-noise", want, planned)
-		framesEqualBits(t, "legacy-noise", want, legacy)
 	}
+	reference := NewFrame(p, 0)
+	synthReference(reference, nil, rand.New(rand.NewSource(11)))
+	framesEqualBits(t, "reference-noise", want, reference)
 	added := NewFrame(p, 0)
 	added.AddNoise(base)
 	framesEqualBits(t, "AddNoise", want, added)

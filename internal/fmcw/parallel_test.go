@@ -1,6 +1,7 @@
 package fmcw
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -23,9 +24,10 @@ func benchReturns(n int) []Return {
 }
 
 // TestSynthesizeWorkersBitIdentical is the reproducibility contract of the
-// parallel pipeline: for a fixed seed, SynthesizeWorkers must produce
-// bit-identical frames for every worker count, including the sequential
-// workers=1 path — noise comes from per-antenna split streams, never from
+// parallel pipeline: for a fixed seed, the shared plan's SynthesizeInto must
+// produce bit-identical frames for every worker count, including the
+// sequential workers=1 path, more workers than antennas, and the auto-sized
+// pool — noise comes from per-antenna split streams, never from
 // worker-schedule-dependent draws.
 func TestSynthesizeWorkersBitIdentical(t *testing.T) {
 	cases := []struct {
@@ -39,41 +41,41 @@ func TestSynthesizeWorkersBitIdentical(t *testing.T) {
 		{"noisy-many-returns", 0.05, 40, 7},
 		{"noise-only", 0.5, 0, 11},
 	}
-	workerCounts := []int{2, 3, 4, 8, 100}
+	workerCounts := []int{2, 3, 4, 8, 100, 0}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
 			p.NoiseStd = tc.noise
 			returns := benchReturns(tc.returns)
-			ref := SynthesizeWorkers(p, returns, 0.25, rand.New(rand.NewSource(tc.seed)), 1)
-			for _, w := range workerCounts {
-				got := SynthesizeWorkers(p, returns, 0.25, rand.New(rand.NewSource(tc.seed)), w)
-				for k := range ref.Data {
-					for i := range ref.Data[k] {
-						if got.Data[k][i] != ref.Data[k][i] {
-							t.Fatalf("workers=%d: antenna %d sample %d differs: %v vs %v",
-								w, k, i, got.Data[k][i], ref.Data[k][i])
-						}
-					}
+			pl := PlanSynth(p)
+			synth := func(workers int) *Frame {
+				f := NewFrame(p, 0.25)
+				if err := pl.SynthesizeInto(nil, f, returns, rand.New(rand.NewSource(tc.seed)), workers); err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				return f
+			}
+			ref := synth(1)
+			for _, w := range workerCounts {
+				framesEqualBits(t, fmt.Sprintf("workers=%d", w), ref, synth(w))
 			}
 		})
 	}
 }
 
-// TestSynthesizeMatchesDefaultEntryPoint pins Synthesize to the
-// auto-sized worker pool path.
+// TestSynthesizeMatchesDefaultEntryPoint pins Synthesize, the allocating
+// form, to the shared plan's destination-passing SynthesizeInto at the
+// auto-sized worker pool.
 func TestSynthesizeMatchesDefaultEntryPoint(t *testing.T) {
 	p := DefaultParams()
 	returns := benchReturns(10)
 	a := Synthesize(p, returns, 0.1, rand.New(rand.NewSource(3)))
-	b := SynthesizeWorkers(p, returns, 0.1, rand.New(rand.NewSource(3)), 0)
-	for k := range a.Data {
-		for i := range a.Data[k] {
-			if a.Data[k][i] != b.Data[k][i] {
-				t.Fatalf("Synthesize diverges from SynthesizeWorkers(…, 0) at [%d][%d]", k, i)
-			}
-		}
+	b := NewFrame(p, 0.1)
+	if err := PlanSynth(p).SynthesizeInto(nil, b, returns, rand.New(rand.NewSource(3)), 0); err != nil {
+		t.Fatal(err)
+	}
+	if !framesEqual(a, b) {
+		t.Fatal("Synthesize diverges from PlanSynth(p).SynthesizeInto(…, 0)")
 	}
 }
 
@@ -121,22 +123,19 @@ func TestSynthesizeConsumesOneDrawForNoise(t *testing.T) {
 	}
 }
 
-func BenchmarkSynthesizeSequential(b *testing.B) {
+func benchmarkSynthesize(b *testing.B, workers int) {
 	p := DefaultParams()
 	returns := benchReturns(64)
 	rng := rand.New(rand.NewSource(1))
+	pl := PlanSynth(p)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SynthesizeWorkers(p, returns, 0, rng, 1)
+		if err := pl.SynthesizeInto(nil, NewFrame(p, 0), returns, rng, workers); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkSynthesizeParallel(b *testing.B) {
-	p := DefaultParams()
-	returns := benchReturns(64)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SynthesizeWorkers(p, returns, 0, rng, 0)
-	}
-}
+func BenchmarkSynthesizeSequential(b *testing.B) { benchmarkSynthesize(b, 1) }
+
+func BenchmarkSynthesizeParallel(b *testing.B) { benchmarkSynthesize(b, 0) }

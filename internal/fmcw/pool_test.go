@@ -96,25 +96,22 @@ func TestFramePoolGetPut(t *testing.T) {
 	fp.Put(NewFrame(other, 0))
 }
 
-// SynthesizeInto on a pooled frame must produce exactly the bits
-// SynthesizeCtx produces, for every worker count, including the pooled
-// per-antenna noise streams.
+// Planned synthesis into a pooled frame must produce exactly the bits
+// Synthesize produces into a fresh one, for every worker count, including
+// the pooled per-antenna noise streams.
 func TestSynthesizeIntoBitIdentical(t *testing.T) {
 	p := testParams()
 	p.NoiseStd = 0.05
 	returns := testReturns(8, 3)
+	want := Synthesize(p, returns, 0.25, rand.New(rand.NewSource(9)))
 	fp := NewFramePool(p)
 	for _, workers := range []int{1, 2, 3, 0} {
-		want, err := SynthesizeCtx(nil, p, returns, 0.25, rand.New(rand.NewSource(9)), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
 		dst := fp.Get(0.25)
-		if err := SynthesizeInto(nil, dst, returns, rand.New(rand.NewSource(9)), workers); err != nil {
+		if err := PlanSynth(p).SynthesizeInto(nil, dst, returns, rand.New(rand.NewSource(9)), workers); err != nil {
 			t.Fatal(err)
 		}
 		if !framesEqual(dst, want) {
-			t.Fatalf("workers=%d: SynthesizeInto differs from SynthesizeCtx", workers)
+			t.Fatalf("workers=%d: pooled SynthesizeInto differs from Synthesize", workers)
 		}
 		fp.Put(dst)
 	}

@@ -15,19 +15,20 @@ import (
 // execution contexts — compiled once and shared by every caller with that
 // shape (all rooms of one configuration in the daemon share one plan).
 //
-// The plan restructures the legacy kernel's arithmetic: instead of running
+// The plan restructures Frame.AddReturns' arithmetic: instead of running
 // the serial per-sample phasor recurrence cur *= stepC once per
 // (return × antenna), it builds one rotation table per return
 // (tab[i] = A-free e^{j·step·i}) and reduces every antenna to a scaled
 // complex multiply-accumulate row[i] += amp_k · tab[i] — NumAntennas× fewer
 // serial recurrences, and the MAC is vectorizable (synth_amd64.s). The
-// planned samples differ from the legacy kernel's at the ULP level (the
-// table is built by a 4-stride recurrence, and the steering phase is
-// computed from a precompiled per-antenna scale), so the planned path is
-// the defining semantics; the legacy kernel remains as the ULP reference
-// (SynthesizeLegacyInto). What is preserved exactly: bit-identity across
-// worker counts, AVX ≡ scalar fallback, planned-vs-planned determinism,
-// and the noise contract (one base draw, per-antenna split streams).
+// planned samples differ from AddReturns' at the ULP level (the table is
+// built by a 4-stride recurrence, and the steering phase is computed from a
+// precompiled per-antenna scale), so the planned path is the defining
+// semantics and the only synthesis kernel; AddReturns followed by
+// AddNoise(rng.Int63()) remains as the ULP reference. What is preserved
+// exactly: bit-identity across worker counts, AVX ≡ scalar fallback,
+// planned-vs-planned determinism, and the noise contract (one base draw,
+// per-antenna split streams).
 type SynthPlan struct {
 	params Params
 	n      int // samples per chirp
@@ -155,7 +156,7 @@ func (pl *SynthPlan) newExec() *synthExec {
 
 // prep compacts the nonzero-amplitude returns into the executor's parallel
 // per-return arrays and sizes the table storage. Zero-amplitude returns are
-// skipped exactly as the legacy kernel skipped them, so the planned
+// skipped exactly as AddReturns skips them, so the planned
 // accumulation visits the same returns in the same order.
 //
 //rfvet:allocfree
@@ -183,7 +184,7 @@ func (e *synthExec) prep(returns []Return) {
 		beat := pl.sl*r.Delay + r.FreqShift
 		// The frequency-shifting modulator free-runs across chirps, so its
 		// tone's phase at this chirp's start depends on absolute capture
-		// time — same expression as the legacy kernel (see addReturnsAntenna).
+		// time — same expression as AddReturns (see addReturnsAntenna).
 		e.carrier[i] = pl.twoPiFc*r.Delay + r.Phase + 2*math.Pi*r.FreqShift*at
 		step := 2 * math.Pi * beat * pl.dt
 		e.stepR[i], e.stepI[i] = math.Cos(step), math.Sin(step)
@@ -209,7 +210,7 @@ func (e *synthExec) table(r int) {
 // chains, then tab[i] = tab[i-4]·stepC⁴ — this IS the defining semantics,
 // implemented identically by the scalar loop and the AVX kernel (two ymm
 // chains of two complexes each, same multiply formula per lane), so the
-// two paths are bit-identical by construction. Compared with the legacy
+// two paths are bit-identical by construction. Compared with AddReturns'
 // serial recurrence the strided form both shortens the dependency chain
 // 4× and accumulates less rounding (n/4 multiplies per chain instead of n).
 //
@@ -248,7 +249,7 @@ func buildPhasorTab(tab []complex128, sr, si float64) {
 // shared tables (complete after the phase-1 barrier) and writes only row k
 // plus its own pooled noise stream, so any worker width produces the same
 // bits; per sample, returns accumulate in compacted order, the same
-// relative order as the legacy kernel.
+// relative order as AddReturns.
 //
 //rfvet:allocfree
 func (e *synthExec) antenna(k int) {
@@ -273,8 +274,8 @@ func (e *synthExec) antenna(k int) {
 // AVX kernel executes the same multiply/addsub/add sequence per lane
 // (VMULPD/VADDSUBPD/VADDPD are lanewise IEEE-754 double ops and amd64
 // never contracts to FMA), so vector and scalar paths are bit-identical.
-// Note tab[0] = 1+0i makes sample 0 exactly (cr, ci) — the legacy kernel's
-// first sample, bit for bit.
+// Note tab[0] = 1+0i makes sample 0 exactly (cr, ci) — AddReturns' first
+// sample, bit for bit.
 //
 //rfvet:allocfree
 func macRow(row, tab []complex128, cr, ci float64) {

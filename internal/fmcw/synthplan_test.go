@@ -75,10 +75,22 @@ func TestSynthPlanAVXBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
+// synthReference is the ULP reference for the planned kernel: the serial
+// phasor recurrence (AddReturns) plus the noise for the one base draw a
+// noisy synthesis takes from rng.
+func synthReference(dst *Frame, returns []Return, rng *rand.Rand) {
+	dst.AddReturns(returns)
+	if rng != nil && dst.Params.NoiseStd > 0 {
+		dst.AddNoise(rng.Int63())
+	}
+}
+
 // TestSynthPlannedWorkerBitIdentity is the worker-count contract on the
-// planned path: the two-phase fan-out (tables, then antennas) must produce
-// identical bits for sequential, two-worker, and one-per-CPU synthesis,
-// noise included. make race runs this under the race detector.
+// planned path at the default noise level: the two-phase fan-out (tables,
+// then antennas) must produce identical bits for sequential, two-worker, and
+// one-per-CPU synthesis, noise included. TestSynthesizeWorkersBitIdentical
+// covers the wider worker and noise matrix. make race runs this under the
+// race detector.
 func TestSynthPlannedWorkerBitIdentity(t *testing.T) {
 	p := DefaultParams()
 	returns := planTestReturns(24, 11)
@@ -97,8 +109,8 @@ func TestSynthPlannedWorkerBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSynthPlannedMatchesLegacyULP pins the planned kernel to the retained
-// legacy kernel: the restructured arithmetic (strided table recurrence,
+// TestSynthPlannedMatchesLegacyULP pins the planned kernel to the serial
+// recurrence it restructures (synthReference): the restructured arithmetic (strided table recurrence,
 // precompiled steering scale) may shift samples at the ULP level but no
 // further. The tolerance is generous against the accumulated magnitude —
 // the observed differences are ~1e-12 relative.
@@ -107,12 +119,10 @@ func TestSynthPlannedMatchesLegacyULP(t *testing.T) {
 		p := planTestParams(n)
 		returns := planTestReturns(16, 9)
 		planned, legacy := NewFrame(p, 0.8), NewFrame(p, 0.8)
-		if err := SynthesizeInto(nil, planned, returns, rand.New(rand.NewSource(2)), 1); err != nil {
+		if err := PlanSynth(p).SynthesizeInto(nil, planned, returns, rand.New(rand.NewSource(2)), 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := SynthesizeLegacyInto(nil, legacy, returns, rand.New(rand.NewSource(2)), 1); err != nil {
-			t.Fatal(err)
-		}
+		synthReference(legacy, returns, rand.New(rand.NewSource(2)))
 		scale := 0.0
 		for k := range legacy.Data {
 			for _, v := range legacy.Data[k] {
@@ -135,8 +145,8 @@ func TestSynthPlannedMatchesLegacyULP(t *testing.T) {
 }
 
 // TestSynthPlannedZeroSampleFrame: a degenerate configuration with zero
-// samples per chirp must synthesize (both kernels) without touching memory
-// or panicking — the noise draw contract still holds.
+// samples per chirp must synthesize (planned kernel and reference) without
+// touching memory or panicking — the noise draw contract still holds.
 func TestSynthPlannedZeroSampleFrame(t *testing.T) {
 	p := DefaultParams()
 	p.ChirpDuration = 1e-12 // rounds to 0 samples
@@ -145,8 +155,8 @@ func TestSynthPlannedZeroSampleFrame(t *testing.T) {
 	}
 	returns := planTestReturns(4, 1)
 	for _, synth := range []func(dst *Frame, rng *rand.Rand) error{
-		func(dst *Frame, rng *rand.Rand) error { return SynthesizeInto(nil, dst, returns, rng, 1) },
-		func(dst *Frame, rng *rand.Rand) error { return SynthesizeLegacyInto(nil, dst, returns, rng, 1) },
+		func(dst *Frame, rng *rand.Rand) error { return PlanSynth(p).SynthesizeInto(nil, dst, returns, rng, 1) },
+		func(dst *Frame, rng *rand.Rand) error { synthReference(dst, returns, rng); return nil },
 	} {
 		rng := rand.New(rand.NewSource(4))
 		f := NewFrame(p, 0)
@@ -196,8 +206,8 @@ func TestSynthPlannedAllocFree(t *testing.T) {
 }
 
 // FuzzSynthReturnExtremes drives Return field extremes — NaN and ±Inf
-// delays, amplitudes, frequency shifts, angles — through both the legacy
-// and the planned kernel. Neither may panic, and the planned output must
+// delays, amplitudes, frequency shifts, angles — through both the planned
+// kernel and its reference (synthReference). Neither may panic, and the planned output must
 // stay bit-identical across worker counts even when every sample is NaN.
 func FuzzSynthReturnExtremes(f *testing.F) {
 	inf := math.Inf(1)
@@ -217,14 +227,11 @@ func FuzzSynthReturnExtremes(f *testing.F) {
 			{Delay: delay, Amplitude: amp, AoA: aoa, FreqShift: shift, Phase: phase},
 			{Delay: 1e-8, Amplitude: 0.7, AoA: 1.1},
 		}
-		legacy := NewFrame(p, 0.2)
-		if err := SynthesizeLegacyInto(nil, legacy, returns, rand.New(rand.NewSource(1)), 1); err != nil {
-			t.Fatal(err)
-		}
+		synthReference(NewFrame(p, 0.2), returns, rand.New(rand.NewSource(1)))
 		var ref *Frame
 		for _, workers := range []int{1, 2} {
 			fr := NewFrame(p, 0.2)
-			if err := SynthesizeInto(nil, fr, returns, rand.New(rand.NewSource(1)), workers); err != nil {
+			if err := PlanSynth(p).SynthesizeInto(nil, fr, returns, rand.New(rand.NewSource(1)), workers); err != nil {
 				t.Fatal(err)
 			}
 			if ref == nil {

@@ -30,7 +30,7 @@ func scattererFrames(p fmcw.Params, nFrames int, r0, v float64) []*fmcw.Frame {
 		t := float64(i) / p.FrameRate
 		d := r0 - v*t
 		ret := fmcw.Return{Delay: 2 * d / fmcw.C, Amplitude: 1, AoA: math.Pi / 2}
-		frames[i] = fmcw.SynthesizeWorkers(p, []fmcw.Return{ret}, t, nil, 1)
+		frames[i] = fmcw.Synthesize(p, []fmcw.Return{ret}, t, nil)
 	}
 	return frames
 }
@@ -140,7 +140,7 @@ func TestDopplerStageWindowSlides(t *testing.T) {
 		tm := float64(window+i) / p.FrameRate
 		d := endR - 2.5*float64(i+1)/p.FrameRate
 		ret := fmcw.Return{Delay: 2 * d / fmcw.C, Amplitude: 1, AoA: math.Pi / 2}
-		fast[i] = fmcw.SynthesizeWorkers(p, []fmcw.Return{ret}, tm, nil, 1)
+		fast[i] = fmcw.Synthesize(p, []fmcw.Return{ret}, tm, nil)
 	}
 	mSlow := lastDopplerMap(t, slow, window)
 	mFast := lastDopplerMap(t, append(slow, fast...), window)

@@ -32,7 +32,7 @@ func fuzzFrames(n int) []*fmcw.Frame {
 		t := float64(i) / p.FrameRate
 		d := 3.0 - 0.5*t
 		ret := fmcw.Return{Delay: 2 * d / fmcw.C, Amplitude: 1, AoA: math.Pi / 2}
-		out[i] = fmcw.SynthesizeWorkers(p, []fmcw.Return{ret}, t, nil, 1)
+		out[i] = fmcw.Synthesize(p, []fmcw.Return{ret}, t, nil)
 	}
 	return out
 }

@@ -10,9 +10,25 @@ import (
 	"rfprotect/internal/radar"
 )
 
-// synthFn is the signature shared by fmcw.SynthesizeInto (planned) and
-// fmcw.SynthesizeLegacyInto (the retained serial-recurrence reference).
-type synthFn func(ctx context.Context, dst *fmcw.Frame, returns []fmcw.Return, rng *rand.Rand, workers int) error
+// synthFn synthesizes returns into a zeroed frame, drawing noise from rng.
+type synthFn func(dst *fmcw.Frame, returns []fmcw.Return, rng *rand.Rand)
+
+// plannedSynth is the one synthesis kernel, the shared compiled plan.
+func plannedSynth(dst *fmcw.Frame, returns []fmcw.Return, rng *rand.Rand) {
+	if err := fmcw.PlanSynth(dst.Params).SynthesizeInto(nil, dst, returns, rng, 1); err != nil {
+		panic(err) // a nil ctx never cancels
+	}
+}
+
+// serialReference is the serial phasor recurrence the plan restructures
+// (Frame.AddReturns) plus the noise for the one base draw a noisy
+// synthesis takes from rng.
+func serialReference(dst *fmcw.Frame, returns []fmcw.Return, rng *rand.Rand) {
+	dst.AddReturns(returns)
+	if rng != nil && dst.Params.NoiseStd > 0 {
+		dst.AddNoise(rng.Int63())
+	}
+}
 
 // captureWith synthesizes the golden scene's capture through the given
 // kernel: identical returns, identical rng stream, only the synthesis
@@ -26,9 +42,7 @@ func captureWith(t *testing.T, synth synthFn, nFrames int) ([]*fmcw.Frame, fmcw.
 	for i := range frames {
 		at := float64(i) / sc.Params.FrameRate
 		f := fmcw.NewFrame(sc.Params, at)
-		if err := synth(nil, f, sc.ReturnsAt(at), rng, 1); err != nil {
-			t.Fatal(err)
-		}
+		synth(f, sc.ReturnsAt(at), rng)
 		frames[i] = f
 	}
 	return frames, sc.Radar
@@ -36,7 +50,8 @@ func captureWith(t *testing.T, synth synthFn, nFrames int) ([]*fmcw.Frame, fmcw.
 
 // TestPlannedSynthesisSameDetectionsAndTracks is the end-to-end acceptance
 // contract for the compiled synthesis plan: a golden streaming scene
-// synthesized by the planned kernel and by the legacy kernel, run through
+// synthesized by the planned kernel and by its serial reference
+// (Frame.AddReturns plus AddNoise), run through
 // the identical eavesdropper chain, must yield the same detections (to
 // sub-micrometer position agreement — the inputs differ only at the ULP
 // level) and structurally identical tracks.
@@ -64,38 +79,38 @@ func TestPlannedSynthesisSameDetectionsAndTracks(t *testing.T) {
 		return result{dets: detsC.Detections(), tracks: trk.Tracks()}
 	}
 
-	legacy := run(fmcw.SynthesizeLegacyInto)
-	planned := run(fmcw.SynthesizeInto)
+	ref := run(serialReference)
+	planned := run(plannedSynth)
 
-	if len(planned.dets) != len(legacy.dets) {
-		t.Fatalf("planned run produced %d detection frames, legacy %d", len(planned.dets), len(legacy.dets))
+	if len(planned.dets) != len(ref.dets) {
+		t.Fatalf("planned run produced %d detection frames, reference %d", len(planned.dets), len(ref.dets))
 	}
-	for i := range legacy.dets {
-		if len(planned.dets[i]) != len(legacy.dets[i]) {
-			t.Fatalf("frame %d: planned %d detections, legacy %d", i, len(planned.dets[i]), len(legacy.dets[i]))
+	for i := range ref.dets {
+		if len(planned.dets[i]) != len(ref.dets[i]) {
+			t.Fatalf("frame %d: planned %d detections, reference %d", i, len(planned.dets[i]), len(ref.dets[i]))
 		}
-		for j := range legacy.dets[i] {
-			pd, ld := planned.dets[i][j], legacy.dets[i][j]
+		for j := range ref.dets[i] {
+			pd, ld := planned.dets[i][j], ref.dets[i][j]
 			if pd.Pos.Dist(ld.Pos) > posTol {
-				t.Fatalf("frame %d det %d: planned %v, legacy %v — beyond %g", i, j, pd.Pos, ld.Pos, posTol)
+				t.Fatalf("frame %d det %d: planned %v, reference %v — beyond %g", i, j, pd.Pos, ld.Pos, posTol)
 			}
 			if math.Abs(pd.Time-ld.Time) > 0 {
 				t.Fatalf("frame %d det %d: time differs", i, j)
 			}
 		}
 	}
-	if len(planned.tracks) != len(legacy.tracks) {
-		t.Fatalf("planned run produced %d tracks, legacy %d", len(planned.tracks), len(legacy.tracks))
+	if len(planned.tracks) != len(ref.tracks) {
+		t.Fatalf("planned run produced %d tracks, reference %d", len(planned.tracks), len(ref.tracks))
 	}
-	for i := range legacy.tracks {
-		pt, lt := planned.tracks[i], legacy.tracks[i]
+	for i := range ref.tracks {
+		pt, lt := planned.tracks[i], ref.tracks[i]
 		if pt.ID != lt.ID || pt.Confirmed != lt.Confirmed || len(pt.Points) != len(lt.Points) {
 			t.Fatalf("track %d: structure differs (id %d/%d, confirmed %v/%v, %d/%d points)",
 				i, pt.ID, lt.ID, pt.Confirmed, lt.Confirmed, len(pt.Points), len(lt.Points))
 		}
 		for j := range lt.Points {
 			if pt.Points[j].Time != lt.Points[j].Time || pt.Points[j].Pos.Dist(lt.Points[j].Pos) > posTol {
-				t.Fatalf("track %d point %d: planned %v, legacy %v", i, j, pt.Points[j], lt.Points[j])
+				t.Fatalf("track %d point %d: planned %v, reference %v", i, j, pt.Points[j], lt.Points[j])
 			}
 		}
 	}

@@ -108,8 +108,14 @@ func TestStationaryGhostAliasing(t *testing.T) {
 	if rem := math.Mod(fsw, params.FrameRate); math.Abs(rem) > 1e-6 {
 		t.Fatalf("test premise broken: f_switch %v not a frame-rate multiple (rem %v)", fsw, rem)
 	}
-	f0 := sc.FrameAt(0, nil)
-	f1 := sc.FrameAt(1/params.FrameRate, nil)
+	f0, err := sc.FrameAt(nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, err := sc.FrameAt(nil, 1/params.FrameRate, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	diff := f1.Sub(f0)
 	pr := radar.NewProcessor(radar.DefaultConfig())
 	if dets := pr.Detect(pr.RangeAngle(diff), sc.Radar); len(dets) != 0 {

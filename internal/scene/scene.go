@@ -36,25 +36,10 @@ type Scene struct {
 	// amplitude; amplitude falls off as (RefDistance/d)². Zero means 1 m.
 	RefDistance float64
 
-	// pool, when set with UseFramePool, supplies recycled storage for every
-	// frame the scene synthesizes.
-	pool *fmcw.FramePool
 	// plan, when set with UseSynthPlan, is the compiled synthesis plan every
 	// capture path runs through; nil means compile (or fetch the shared plan
 	// for Params) on first use.
 	plan *fmcw.SynthPlan
-}
-
-// UseFramePool routes every capture path — FrameAt, FrameAtCtx,
-// CaptureBurst, and streams built by Stream (unless overridden per stream
-// with FrameStream.UsePool) — through the given pool, which must be
-// configured with the scene's Params: frames synthesize into recycled pool
-// storage instead of fresh allocations. Emitted frames are bit-identical to
-// the unpooled paths'; ownership of each frame passes to the caller, who
-// recycles it with pool.Put once done. It returns s for chaining.
-func (s *Scene) UseFramePool(pool *fmcw.FramePool) *Scene {
-	s.pool = pool
-	return s
 }
 
 // UseSynthPlan routes every capture path through the given pre-compiled
@@ -158,41 +143,12 @@ func (s *Scene) AppendReturnsAt(dst []fmcw.Return, t float64) []fmcw.Return {
 
 // FrameAt synthesizes the radar frame captured at time t, adding the room's
 // diffuse-multipath speckle (random weak companion reflections near every
-// return) when rng is non-nil.
-func (s *Scene) FrameAt(t float64, rng *rand.Rand) *fmcw.Frame {
-	f, _ := s.FrameAtCtx(nil, t, rng)
-	return f
-}
-
-// FrameAtCtx is FrameAt with cooperative cancellation threaded into the
-// synthesis fan-out; it returns (nil, ctx.Err()) once ctx is done. The rng
-// consumption order is identical to FrameAt (speckle draws, then one noise
-// base draw), so for a nil or never-canceled ctx the frame is bit-identical
-// to FrameAt's.
-func (s *Scene) FrameAtCtx(ctx context.Context, t float64, rng *rand.Rand) (*fmcw.Frame, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	returns := s.AppendReturnsAt(nil, t)
-	if rng != nil && s.Room.Speckle > 0 {
-		returns = s.appendSpeckle(returns, rng)
-	}
-	pl := s.synthPlan()
-	if s.pool != nil {
-		f := s.pool.Get(t)
-		if err := pl.SynthesizeInto(ctx, f, returns, rng, 0); err != nil {
-			s.pool.Put(f) // partially written: zero and recycle
-			return nil, err
-		}
-		return f, nil
-	}
-	f := fmcw.NewFrame(s.Params, t)
-	if err := pl.SynthesizeInto(ctx, f, returns, rng, 0); err != nil {
-		return nil, err
-	}
-	return f, nil
+// return) when rng is non-nil. It is the one frame of a one-frame Stream,
+// so it consumes rng exactly as a stream does (speckle draws, then one
+// noise base draw). It returns (nil, ctx.Err()) once ctx is done; a nil ctx
+// never cancels.
+func (s *Scene) FrameAt(ctx context.Context, t float64, rng *rand.Rand) (*fmcw.Frame, error) {
+	return s.Stream(t, 1, rng).Next(ctx)
 }
 
 // appendSpeckle appends one weak companion per return: a diffuse bounce
@@ -230,7 +186,8 @@ func (s *Scene) appendSpeckle(returns []fmcw.Return, rng *rand.Rand) []fmcw.Retu
 func (s *Scene) CaptureBurst(t0 float64, nChirps int, pri float64, rng *rand.Rand) []*fmcw.Frame {
 	out := make([]*fmcw.Frame, nChirps)
 	for k := range out {
-		out[k] = s.FrameAt(t0+float64(k)*pri, rng)
+		// A nil ctx never cancels, so FrameAt cannot fail.
+		out[k], _ = s.FrameAt(nil, t0+float64(k)*pri, rng)
 	}
 	return out
 }
@@ -272,10 +229,9 @@ type FrameStream struct {
 // would synthesize: frame i is captured at t0 + i/FrameRate, and rng is
 // consumed in frame order, so draining the stream consumes rng exactly as
 // the batch capture does. n < 0 means an unbounded stream (frames forever,
-// until the consumer stops). A scene configured with UseFramePool passes
-// its pool to the stream; FrameStream.UsePool overrides it per stream.
+// until the consumer stops).
 func (s *Scene) Stream(t0 float64, n int, rng *rand.Rand) *FrameStream {
-	return &FrameStream{scene: s, t0: t0, dt: 1 / s.Params.FrameRate, n: n, rng: rng, pool: s.pool, plan: s.synthPlan()}
+	return &FrameStream{scene: s, t0: t0, dt: 1 / s.Params.FrameRate, n: n, rng: rng, plan: s.synthPlan()}
 }
 
 // UsePool makes the stream synthesize every frame into storage from the

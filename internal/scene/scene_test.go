@@ -204,59 +204,52 @@ func TestCaptureTiming(t *testing.T) {
 	}
 }
 
-// TestUseFramePoolBitIdentical checks the scene-level pool routing: FrameAt
-// and CaptureBurst through UseFramePool must synthesize bit-identical frames
-// to the allocating paths (same rng draw order), and recycled storage must
-// not leak one frame's samples into the next.
+// TestUseFramePoolBitIdentical checks pooled capture: a FrameStream
+// routed through UsePool must synthesize bit-identical frames to the
+// allocating paths (Capture and FrameAt, same rng draw order),
+// and recycled storage must not leak one frame's samples into the next.
 func TestUseFramePoolBitIdentical(t *testing.T) {
-	build := func() *Scene {
-		s := NewScene(OfficeRoom(), fmcw.DefaultParams())
-		s.Humans = []*Human{NewHuman(geom.Trajectory{{X: 5, Y: 3}, {X: 6, Y: 4}}, 1)}
-		return s
-	}
-	plain := build()
-	pooled := build().UseFramePool(fmcw.NewFramePool(plain.Params))
-
-	want := plain.FrameAt(0.5, rand.New(rand.NewSource(7)))
-	got := pooled.FrameAt(0.5, rand.New(rand.NewSource(7)))
-	if len(got.Data) != len(want.Data) {
-		t.Fatalf("antenna count %d vs %d", len(got.Data), len(want.Data))
-	}
-	for k := range want.Data {
-		for i, w := range want.Data[k] {
-			g := got.Data[k][i]
-			if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
-				math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
-				t.Fatalf("antenna %d sample %d: %v vs %v", k, i, g, w)
-			}
+	s := NewScene(OfficeRoom(), fmcw.DefaultParams())
+	s.Humans = []*Human{NewHuman(geom.Trajectory{{X: 5, Y: 3}, {X: 6, Y: 4}}, 1)}
+	sameBits := func(what string, got, want *fmcw.Frame) {
+		t.Helper()
+		if len(got.Data) != len(want.Data) {
+			t.Fatalf("%s: antenna count %d vs %d", what, len(got.Data), len(want.Data))
 		}
-	}
-	// Recycle and capture a different instant: the reused storage must hold
-	// exactly the fresh path's samples.
-	pooled.pool.Put(got)
-	want2 := plain.FrameAt(0.9, rand.New(rand.NewSource(9)))
-	got2 := pooled.FrameAt(0.9, rand.New(rand.NewSource(9)))
-	for k := range want2.Data {
-		for i, w := range want2.Data[k] {
-			if got2.Data[k][i] != w {
-				t.Fatalf("recycled frame differs at antenna %d sample %d", k, i)
-			}
-		}
-	}
-	// Burst path routes through the same pool.
-	wb := plain.CaptureBurst(0, 3, 1e-3, rand.New(rand.NewSource(3)))
-	gb := pooled.CaptureBurst(0, 3, 1e-3, rand.New(rand.NewSource(3)))
-	for j := range wb {
-		for k := range wb[j].Data {
-			for i, w := range wb[j].Data[k] {
-				if gb[j].Data[k][i] != w {
-					t.Fatalf("burst chirp %d antenna %d sample %d differs", j, k, i)
+		for k := range want.Data {
+			for i, w := range want.Data[k] {
+				g := got.Data[k][i]
+				if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
+					math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+					t.Fatalf("%s: antenna %d sample %d: %v vs %v", what, k, i, g, w)
 				}
 			}
 		}
 	}
-	// Streams inherit the scene pool.
-	if st := pooled.Stream(0, 1, nil); st.pool == nil {
-		t.Fatal("Stream did not inherit the scene pool")
+
+	want := s.Capture(0.5, 4, rand.New(rand.NewSource(7)))
+	first, err := s.FrameAt(nil, 0.5, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits("FrameAt vs Capture", first, want[0])
+
+	pool := fmcw.NewFramePool(s.Params)
+	st := s.Stream(0.5, len(want), rand.New(rand.NewSource(7))).UsePool(pool)
+	var prev *fmcw.Frame
+	for i, w := range want {
+		got, err := st.Next(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every frame after the first must land in the storage just
+		// recycled, so the comparison also proves it carries no stale
+		// samples from the previous frame.
+		if prev != nil && got != prev {
+			t.Fatalf("frame %d did not reuse the recycled pool frame", i)
+		}
+		sameBits("pooled stream", got, w)
+		pool.Put(got)
+		prev = got
 	}
 }
