@@ -1,8 +1,8 @@
 GO ?= go
 
 # Coverage floor (percent of statements) enforced by `make cover` on the
-# packages whose correctness rests on their test harness: the concurrent
-# scheduler, the FFT batch layer under it, and the spoof-detection suite.
+# packages whose correctness rests on their test harness: the streaming
+# pipeline, the FFT batch layer under it, and the spoof-detection suite.
 COVER_MIN ?= 80
 COVER_PKGS ?= ./internal/pipeline ./internal/dsp ./internal/detect
 
@@ -81,7 +81,8 @@ cover:
 		if [ "$$ok" != "1" ]; then echo "coverage below floor for $$pkg"; exit 1; fi; \
 	done
 
-# Bounded fuzz exploration of the stage-composition state space, the
+# Bounded fuzz exploration of the stage-composition state space (no
+# deadlock, no dropped frame, repeated Runs agree bit for bit), the
 # spoof-detector input space, the noise stream's seed space (every seed
 # must reproduce math/rand's draws bit for bit), and Return field extremes
 # through synthesis (no panic, worker-count bit-identity even for NaN/Inf

@@ -294,9 +294,7 @@ func capturePipeline(sc *scene.Scene, nFrames int) *pipeline.Pipeline {
 
 // BenchmarkStreamingCaptureTrack measures the streaming pipeline end to end
 // — synthesize, background-subtract, profile, detect, track, one frame in
-// flight, every buffer recycled — over a 32-frame capture, sequentially and
-// with the stage-overlapped scheduler. Outputs are bit-identical (see
-// internal/pipeline); only cost differs.
+// flight, every buffer recycled — over a 32-frame capture.
 func BenchmarkStreamingCaptureTrack(b *testing.B) {
 	const nFrames = 32
 	sc := streamingSession(b).Scene
@@ -307,17 +305,6 @@ func BenchmarkStreamingCaptureTrack(b *testing.B) {
 			}
 		}
 	})
-	// Stage-overlapped scheduler over the same chain: each stage in its own
-	// goroutine, bounded channels of the given depth.
-	for _, depth := range []int{1, 4} {
-		b.Run(fmt.Sprintf("concurrent-depth-%d", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := capturePipeline(sc, nFrames).RunConcurrent(context.Background(), depth); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkDopplerStage measures the steady-state per-frame cost of the

@@ -69,8 +69,7 @@ type Result struct {
 	AllocsExact bool `json:"allocs_exact,omitempty"`
 }
 
-// StreamResult is one capture-and-track run — sequential or concurrent —
-// with its throughput, allocation rate, and retained-heap footprint.
+// StreamResult is one capture-and-track run with its throughput, allocation rate, and retained-heap footprint.
 type StreamResult struct {
 	Name           string  `json:"name"`
 	Frames         int     `json:"frames"`
@@ -424,11 +423,10 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	})
 	add("doppler_win8_specialized", 1, rdS, true)
 
-	// The pipeline's own per-frame machinery — source pull, Item checkout
-	// from the free list, stage dispatch, recycle, Item return — over a
-	// replayed frame and a counting no-op stage, so nothing but the
-	// machinery itself runs. One warm-up run materializes the steady-state
-	// Item; after that a 16-frame Run must allocate exactly nothing.
+	// The pipeline's own per-frame machinery — source pull, Item reset,
+	// stage dispatch, recycle — over a replayed frame and a counting no-op
+	// stage, so nothing but the machinery itself runs. After one warm-up
+	// run, a 16-frame Run must allocate exactly nothing.
 	bsrc := &replaySource{f: frameA, n: 16}
 	bp := pipeline.New(bsrc, &countStage{})
 	if _, err := bp.Run(nil); err != nil {
@@ -443,9 +441,8 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 	add("pipeline_run_item_pooled", 1, itemS, true)
 
 	// Streaming: the eavesdropper capture-and-track workload on the planned
-	// front end, every buffer recycled, run by the stage-overlapped
-	// scheduler and by the sequential one. Two capture lengths show the
-	// flat memory and the share of per-frame cost that is start-up.
+	// front end, every buffer recycled. Two capture lengths show the flat
+	// memory and the share of per-frame cost that is start-up.
 	addStream := func(name string, frames int, r streamSample) {
 		snap.Streaming = append(snap.Streaming, StreamResult{
 			Name:           name,
@@ -461,16 +458,7 @@ func runSnapshot(minDur time.Duration, seed int64, streamLens []int, quick bool)
 			name, frames, r.ns, 1e9/r.ns, r.allocs, float64(r.peak)/(1<<20))
 	}
 	for _, n := range streamLens {
-		c := captureRun(seed, n, true)
-		addStream("streaming_capture_track_concurrent", n, c)
-		p := captureRun(seed, n, false)
-		addStream("streaming_capture_track_pooled", n, p)
-		if n == streamLens[len(streamLens)-1] {
-			// Stage-overlap speedup of the ≥2-stage chain at the longest
-			// capture; near 1× on a single CPU, above it once stages can
-			// genuinely run on different cores.
-			snap.Speedups["concurrent_pipeline"] = p.ns / c.ns
-		}
+		addStream("streaming_capture_track_pooled", n, captureRun(seed, n))
 	}
 
 	// Sliding-window Doppler: steady-state per-frame cost of the K-frame
@@ -550,10 +538,8 @@ type streamSample struct {
 
 // captureRun measures one eavesdropper session — synthesize nFrames of a
 // home with a programmed ghost, range-angle process, track — through the
-// planned front end with every buffer recycled, run sequentially or with
-// the stage-overlapped scheduler. Both produce bit-identical tracks; only
-// cost differs.
-func captureRun(seed int64, nFrames int, concurrent bool) streamSample {
+// planned front end with every buffer recycled.
+func captureRun(seed int64, nFrames int) streamSample {
 	sess, err := core.NewSession(core.SessionConfig{Room: scene.HomeRoom()})
 	if err != nil {
 		fatal("session", err)
@@ -579,12 +565,7 @@ func captureRun(seed int64, nFrames int, concurrent bool) streamSample {
 	trk := pipeline.NewTrack(radar.TrackerConfig{})
 	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
 	p := pipeline.New(sc.Stream(0, nFrames, rng).UsePool(pools.Frames), stages...).UsePools(pools)
-	if concurrent {
-		_, err = p.RunConcurrent(context.Background(), 2)
-	} else {
-		_, err = p.Run(nil)
-	}
-	if err != nil {
+	if _, err := p.Run(nil); err != nil {
 		fatal("pipeline", err)
 	}
 	elapsed := time.Since(start)

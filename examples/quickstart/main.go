@@ -19,8 +19,6 @@ import (
 )
 
 func main() {
-	concurrent := flag.Bool("concurrent", false,
-		"overlap the pipeline stages across goroutines (same tracks, same order)")
 	flag.Parse()
 
 	// 1. A home with an eavesdropper radar on the bottom wall and an
@@ -55,9 +53,7 @@ func main() {
 	// 4. The eavesdropper watches 3 seconds through the streaming pipeline:
 	//    each frame is synthesized, processed, and dropped before the next —
 	//    memory stays flat no matter how long it listens, and every buffer is
-	//    recycled through the pools. With -concurrent, each stage runs in its
-	//    own goroutine connected by bounded channels — the output is
-	//    bit-identical either way.
+	//    recycled through the pools.
 	nFrames := int(3 * sc.Params.FrameRate)
 	rng := rand.New(rand.NewSource(42))
 	pools := pipeline.NewPools(sc.Params)
@@ -65,12 +61,7 @@ func main() {
 	trk := pipeline.NewTrack(radar.TrackerConfig{})
 	stages := append(pipeline.FrontEndStagesPlanned(plan, sc.Radar, pools), trk)
 	p := pipeline.New(sc.Stream(0, nFrames, rng).UsePool(pools.Frames), stages...).UsePools(pools)
-	if *concurrent {
-		_, err = p.RunConcurrent(context.Background(), 2)
-	} else {
-		_, err = p.Run(context.Background())
-	}
-	if err != nil {
+	if _, err := p.Run(context.Background()); err != nil {
 		panic(err)
 	}
 	tracks := trk.Tracks()

@@ -55,12 +55,6 @@ type batch struct {
 	// signal from a recycled batch is a benign spurious wake).
 	pending atomic.Int64
 	joined  chan struct{}
-
-	// one, set by Submit, marks a detached single task: the goroutine that
-	// consumes it runs the function and closes done instead of joining a
-	// claim loop.
-	one  func()
-	done chan struct{}
 }
 
 // run claims indices until the batch is exhausted (or its context is done)
@@ -109,17 +103,10 @@ func (p *Pool) worker() {
 	}
 }
 
-// consume processes one received wake token: run a detached Submit task, or
-// join a fan-out batch's claim loop and report the token consumed. It is
-// shared by the pool workers and by callers helping while they wait.
+// consume processes one received wake token: join the batch's claim loop
+// and report the token consumed. It is shared by the pool workers and by
+// callers helping while they wait.
 func (p *Pool) consume(b *batch) {
-	if b.one != nil {
-		fn, done := b.one, b.done
-		p.putBatch(b) // Submit batches carry no join state; recycle first
-		fn()
-		close(done)
-		return
-	}
 	b.run()
 	if b.pending.Add(-1) == 0 {
 		select {
@@ -132,7 +119,7 @@ func (p *Pool) consume(b *batch) {
 // Workers returns the pool's fixed worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close shuts the pool down: no further Submit/ForEach calls may be made,
+// Close shuts the pool down: no further ForEach calls may be made,
 // and Close returns once every worker has exited. The process-wide Default
 // pool is never closed.
 func (p *Pool) Close() {
@@ -141,8 +128,7 @@ func (p *Pool) Close() {
 }
 
 // getBatch pops a recycled batch descriptor or builds a fresh one; putBatch
-// returns one after its join completed (or, for Submit, before the detached
-// task runs — those carry no further batch state).
+// returns one after its join completed.
 func (p *Pool) getBatch() *batch {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
@@ -157,7 +143,7 @@ func (p *Pool) getBatch() *batch {
 }
 
 func (p *Pool) putBatch(b *batch) {
-	b.n, b.fn, b.ctx, b.one, b.done = 0, nil, nil, nil, nil
+	b.n, b.fn, b.ctx = 0, nil, nil
 	b.next.Store(0)
 	// Drain any stale join signal so a recycled batch starts clean. A
 	// signal racing in after this drain only causes a spurious wake on the
@@ -263,22 +249,6 @@ func (p *Pool) runBatch(b *batch, helpers int) {
 		case <-b.joined:
 		}
 	}
-}
-
-// Submit schedules fn as one detached task on a pool worker and returns a
-// channel closed when fn has finished — the heterogeneous-task entry point
-// for callers that want the pool's fixed goroutines instead of spawning
-// their own (Group covers bounded fan-out with error capture; Submit is a
-// single task). The send blocks while the pool's wake queue is full, so
-// Submit provides backpressure rather than unbounded queueing; do not call
-// it from inside a pool task. fn runs exactly once.
-func (p *Pool) Submit(fn func()) <-chan struct{} {
-	b := p.getBatch()
-	b.one = fn
-	b.done = make(chan struct{})
-	done := b.done
-	p.tasks <- b
-	return done
 }
 
 // Default returns the process-wide pool backing the package-level

@@ -177,31 +177,6 @@ func TestPoolNestedForEachNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestPoolSubmitRunsDetachedTask covers the Submit path: the task runs
-// exactly once on a pool goroutine and the returned channel closes after it
-// finishes.
-func TestPoolSubmitRunsDetachedTask(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	var ran atomic.Int64
-	done := p.Submit(func() { ran.Add(1) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Submit task never completed")
-	}
-	if ran.Load() != 1 {
-		t.Fatalf("Submit ran task %d times", ran.Load())
-	}
-	// Submitted tasks and fan-outs share the pool without interference.
-	var hits atomic.Int64
-	done2 := p.Submit(func() { p.ForEach(32, 2, func(i int) { hits.Add(1) }) })
-	<-done2
-	if hits.Load() != 32 {
-		t.Fatalf("Submit+ForEach composition ran %d of 32 indices", hits.Load())
-	}
-}
-
 // TestPoolForEachConcurrentCallers hammers one pool from many goroutines at
 // once: every caller's batch must complete exactly, with no cross-batch
 // index bleed.

@@ -10,27 +10,20 @@
 // experiment, the CLI, the examples and the daemon run it over a plan from
 // radar.PlanFrontEnd. Its output is bit-identical to the per-frame
 // reference — Frame.Sub, then Processor.RangeAngle and Processor.Detect on
-// fresh buffers — for any worker count under Run and RunConcurrent, which
-// the golden tests in this package enforce. DESIGN.md ("Streaming
-// pipeline") documents the stage graph and cancellation semantics.
-//
-// # Execution modes
-//
-// Run drives the chain sequentially on the caller's goroutine;
-// RunConcurrent gives every stage its own goroutine connected by bounded
-// channels, overlapping stage N of frame i with stage 1 of frame i+k while
-// preserving bit-identical output and delivery order. Both share the same
-// error and cancellation semantics.
+// fresh buffers — for any worker count, which the golden tests in this
+// package enforce. DESIGN.md ("Streaming pipeline") documents the stage
+// graph and cancellation semantics.
 //
 // # Steady-state allocation
 //
 // The chain draws every buffer (frames, diffs, profiles, Doppler maps) from
-// Pools and the pipeline recycles them, with its per-frame Item records,
-// once an item completes, so the steady-state frame path of Run allocates
-// exactly nothing (enforced by an AllocsPerRun test). Buffer ownership
-// follows DESIGN.md "Buffer ownership & pooling": the pipeline recycles at
-// the sink, error-path buffers fall to the GC, and a stage that keeps a
-// buffer or the detections past its Process call copies them.
+// Pools and the pipeline recycles them once an item completes, reusing its
+// one Item record for the next frame, so the steady-state frame path of Run
+// allocates exactly nothing (enforced by an AllocsPerRun test). Buffer
+// ownership follows DESIGN.md "Buffer ownership & pooling": the pipeline
+// recycles after an item's last stage, error-path buffers fall to the GC,
+// and a stage that keeps a buffer or the detections past its Process call
+// copies them.
 //
 // A typical assembly:
 //

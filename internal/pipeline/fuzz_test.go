@@ -70,88 +70,75 @@ func fuzzStages(order []byte, array fmcw.Array) []Stage {
 }
 
 // FuzzStageComposition drives random stage orderings and frame counts
-// through both schedulers: any composition must complete without panics or
-// deadlocks, deliver every frame, and produce identical detection
-// sequences sequentially and concurrently. Run with
+// through Run: any composition must complete without panics or deadlocks,
+// deliver every frame, and be deterministic — two runs of the same
+// composition over the same frames produce identical detection sequences.
+// Run with
 //
 //	go test -fuzz FuzzStageComposition -fuzztime 10s ./internal/pipeline
 //
 // for a bounded CI exploration; the seed corpus below runs on every plain
 // `go test`.
 func FuzzStageComposition(f *testing.F) {
-	f.Add(uint8(1), uint8(1), []byte{0})
-	f.Add(uint8(5), uint8(1), []byte{0, 1, 2, 3})
-	f.Add(uint8(7), uint8(2), []byte{0, 1, 2, 4, 7})
-	f.Add(uint8(9), uint8(3), []byte{4, 4, 0, 5})
-	f.Add(uint8(12), uint8(4), []byte{2, 1, 0, 3, 6})    // out-of-order front end
-	f.Add(uint8(3), uint8(2), []byte{5, 5, 5})           // duplicate stateful stages
-	f.Add(uint8(16), uint8(8), []byte{0, 1, 6, 2, 3, 4}) // deep buffers
-	f.Add(uint8(0), uint8(1), []byte{0, 1, 2})           // zero frames
-	f.Add(uint8(4), uint8(2), []byte{})                  // zero stages
-	f.Add(uint8(20), uint8(1), []byte{7, 0, 1, 2, 4, 5}) // velocity chain, depth 1
-	f.Fuzz(func(t *testing.T, nFrames, depth uint8, order []byte) {
+	f.Add(uint8(1), []byte{0})
+	f.Add(uint8(5), []byte{0, 1, 2, 3})
+	f.Add(uint8(7), []byte{0, 1, 2, 4, 7})
+	f.Add(uint8(9), []byte{4, 4, 0, 5})
+	f.Add(uint8(12), []byte{2, 1, 0, 3, 6})    // out-of-order front end
+	f.Add(uint8(3), []byte{5, 5, 5})           // duplicate stateful stages
+	f.Add(uint8(16), []byte{0, 1, 6, 2, 3, 4}) // every stage kind
+	f.Add(uint8(0), []byte{0, 1, 2})           // zero frames
+	f.Add(uint8(4), []byte{})                  // zero stages
+	f.Add(uint8(20), []byte{7, 0, 1, 2, 4, 5}) // velocity chain
+	f.Fuzz(func(t *testing.T, nFrames uint8, order []byte) {
 		n := int(nFrames) % 21
-		d := int(depth)%8 + 1
 		array := fmcw.Array{}
 		frames := fuzzFrames(n)
 
-		run := func(concurrent bool) (int, [][]radar.Detection, error) {
-			stages := fuzzStages(order, array)
-			dets := NewCollectDetections()
-			stages = append(stages, dets)
-			p := New(FromFrames(frames), stages...)
+		// live runs p on its own goroutine and fails the test if it has not
+		// returned within the bound.
+		live := func(ctx context.Context, p *Pipeline, what string) (int, error) {
 			var got int
 			var err error
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				if concurrent {
-					got, err = p.RunConcurrent(context.Background(), d)
-				} else {
-					got, err = p.Run(context.Background())
-				}
+				got, err = p.Run(ctx)
 			}()
 			select {
 			case <-done:
 			case <-time.After(30 * time.Second):
-				t.Fatalf("pipeline deadlocked (concurrent=%v, frames=%d, depth=%d, order=%v)",
-					concurrent, n, d, order)
+				t.Fatalf("%s pipeline deadlocked (frames=%d, order=%v)", what, n, order)
 			}
+			return got, err
+		}
+		run := func() (int, [][]radar.Detection, error) {
+			dets := NewCollectDetections()
+			stages := append(fuzzStages(order, array), dets)
+			got, err := live(context.Background(), New(FromFrames(frames), stages...), "uncanceled")
 			return got, dets.Detections(), err
 		}
 
-		seqN, seqDets, seqErr := run(false)
-		conN, conDets, conErr := run(true)
-		if seqErr != nil || conErr != nil {
-			t.Fatalf("pipeline errored: sequential %v, concurrent %v", seqErr, conErr)
+		firstN, firstDets, firstErr := run()
+		againN, againDets, againErr := run()
+		if firstErr != nil || againErr != nil {
+			t.Fatalf("pipeline errored: first %v, second %v", firstErr, againErr)
 		}
-		if seqN != n || conN != n {
-			t.Fatalf("dropped frames: sequential %d, concurrent %d, want %d", seqN, conN, n)
+		if firstN != n || againN != n {
+			t.Fatalf("dropped frames: first %d, second %d, want %d", firstN, againN, n)
 		}
-		if !reflect.DeepEqual(seqDets, conDets) {
-			t.Fatalf("concurrent detections diverge from sequential (frames=%d, depth=%d, order=%v)",
-				n, d, order)
+		if !reflect.DeepEqual(firstDets, againDets) {
+			t.Fatalf("repeated run's detections diverge (frames=%d, order=%v)", n, order)
 		}
 
-		// Mid-capture cancellation must also never deadlock or leak: cancel
-		// at a pseudo-random frame derived from the inputs.
+		// Mid-capture cancellation must also never deadlock: cancel at a
+		// pseudo-random frame derived from the inputs.
 		if n > 0 {
-			stages := fuzzStages(order, array)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			after := rand.New(rand.NewSource(int64(n*31+d))).Intn(n) + 1
-			stages = append(stages, &cancelAfter{n: after, cancel: cancel})
-			p := New(FromFrames(frames), stages...)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				p.RunConcurrent(ctx, d) //nolint:errcheck // any ctx/nil outcome is fine; liveness is the property
-			}()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatalf("canceled pipeline deadlocked (frames=%d, depth=%d, order=%v)", n, d, order)
-			}
+			after := rand.New(rand.NewSource(int64(n*31+len(order)))).Intn(n) + 1
+			stages := append(fuzzStages(order, array), &cancelAfter{n: after, cancel: cancel})
+			live(ctx, New(FromFrames(frames), stages...), "canceled") //nolint:errcheck // any ctx/nil outcome is fine; liveness is the property
 		}
 	})
 }

@@ -61,30 +61,3 @@ func TestRunItemFreeListAllocsPerRun(t *testing.T) {
 		t.Fatalf("steady-state Run allocates %.1f objects per 16-frame run, want exactly 0", allocs)
 	}
 }
-
-// TestRunConcurrentReusesItems asserts the free list actually feeds
-// RunConcurrent too: across repeated runs the pipeline's checkout count
-// stays bounded by the in-flight window instead of growing with frames.
-func TestRunConcurrentReusesItems(t *testing.T) {
-	src := &loopSource{f: fmcw.NewFrame(fmcw.DefaultParams(), 0), n: 64}
-	st := &nopStage{}
-	p := New(src, st)
-	for run := 0; run < 3; run++ {
-		src.reset()
-		if _, err := p.RunConcurrent(context.Background(), 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.frames != 3*64 {
-		t.Fatalf("stage saw %d frames, want %d", st.frames, 3*64)
-	}
-	p.itemMu.Lock()
-	free := len(p.itemFree)
-	p.itemMu.Unlock()
-	// Window bound: stages+1 channels of depth 2, plus one per goroutine in
-	// flight. With 1 stage and depth 2 the hard ceiling is a handful; 64
-	// would mean the free list isn't being reused.
-	if free == 0 || free > 8 {
-		t.Fatalf("free list holds %d items after 3 runs of 64 frames; want a small in-flight window (1..8)", free)
-	}
-}

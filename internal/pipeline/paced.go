@@ -12,9 +12,7 @@ import (
 // 1/frameRate after its predecessor's slot, keyed to a drift-free schedule
 // (slot times accumulate from the first emission, so a slow consumer does
 // not stretch the grid). It turns an as-fast-as-possible synthesis stream
-// into a live capture for dashboard demos and end-to-end latency tests;
-// combined with RunConcurrent, processing of frame i overlaps the wait for
-// frame i+1.
+// into a live capture for dashboard demos and end-to-end latency tests.
 type PacedSource struct {
 	src      Source
 	interval time.Duration

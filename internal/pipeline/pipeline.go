@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"io"
-	"sync"
 
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/radar"
@@ -52,49 +51,13 @@ type Pipeline struct {
 	stages []Stage
 	pools  *Pools
 
-	// itemFree recycles the per-frame Item records: an item goes back on
-	// the list once its last stage has run (and its pooled buffers have
-	// been recycled), so the steady state of Run and RunConcurrent holds
-	// exactly one live Item per in-flight frame and allocates none. Safe
-	// under the Stage contract — stages must not retain the Item beyond
-	// Process (retaining the slices and buffers it points at is a separate,
-	// already-documented concern of the pooling contract). A mutex free
-	// list rather than sync.Pool for the same reason fmcw.FramePool uses
-	// one: the GC never empties it, so AllocsPerRun tests can assert an
-	// exact zero.
-	itemMu   sync.Mutex
-	itemFree []*Item
-}
-
-// getItem pops a recycled Item (or allocates the first few) and stamps it
-// as frame i carrying f. Every field starts zero like the &Item{...} literal
-// it replaces, except that the Detections backing array survives (emptied)
-// so the peak stage appends into it without allocating.
-func (p *Pipeline) getItem(i int, f *fmcw.Frame) *Item {
-	p.itemMu.Lock()
-	var it *Item
-	if n := len(p.itemFree); n > 0 {
-		it = p.itemFree[n-1]
-		p.itemFree[n-1] = nil
-		p.itemFree = p.itemFree[:n-1]
-	}
-	p.itemMu.Unlock()
-	if it == nil {
-		return &Item{Index: i, Frame: f}
-	}
-	dets := it.Detections
-	*it = Item{Index: i, Frame: f}
-	it.Detections = dets[:0]
-	return it
-}
-
-// putItem returns an item whose stage chain has completed. Items on the
-// error/abort path are never put back — like half-processed buffers, they
-// simply drop to the GC.
-func (p *Pipeline) putItem(it *Item) {
-	p.itemMu.Lock()
-	p.itemFree = append(p.itemFree, it)
-	p.itemMu.Unlock()
+	// item is the per-frame record Run reuses for every frame: one frame is
+	// in flight at a time, so one Item suffices and the steady state
+	// allocates none. Safe under the Stage contract — stages must not
+	// retain the Item beyond Process (retaining the slices and buffers it
+	// points at is a separate, already-documented concern of the pooling
+	// contract).
+	item Item
 }
 
 // New assembles a pipeline. Stages run in the given order for every frame.
@@ -178,17 +141,21 @@ func (p *Pipeline) Run(ctx context.Context) (frames int, err error) {
 		if err != nil {
 			return i, err
 		}
-		it := p.getItem(i, f)
+		// Every field starts zero except the Detections backing array,
+		// which survives (emptied) so the peak stage appends into it
+		// without allocating.
+		it := &p.item
+		*it = Item{Index: i, Frame: f, Detections: it.Detections[:0]}
 		for _, st := range p.stages {
 			if err := st.Process(ctx, it); err != nil {
-				// The failed item's buffers are NOT recycled — on the error
-				// path they simply drop to the GC, which keeps a half-
+				// The failed item is NOT recycled — its buffers and its
+				// detections backing drop to the GC, which keeps a half-
 				// processed buffer from ever re-entering a pool.
+				p.item = Item{}
 				return i, stageError{stage: st.Name(), err: err}
 			}
 		}
 		p.recycle(it)
-		p.putItem(it)
 	}
 }
 

@@ -265,3 +265,50 @@ func TestStageErrorTagged(t *testing.T) {
 		t.Fatalf("Run = %v, want wrapped boom", err)
 	}
 }
+
+// errAfterSource fails with its error after emitting n frames.
+type errAfterSource struct {
+	n    int
+	i    int
+	err  error
+	base fmcw.Params
+}
+
+func (s *errAfterSource) Next(ctx context.Context) (*fmcw.Frame, error) {
+	if s.i >= s.n {
+		return nil, s.err
+	}
+	f := fmcw.NewFrame(s.base, float64(s.i))
+	s.i++
+	return f, nil
+}
+
+// TestRunSourceError propagates a mid-stream source failure untagged —
+// only stage errors carry a stage name — after counting the frames the
+// source did emit.
+func TestRunSourceError(t *testing.T) {
+	broken := errors.New("antenna unplugged")
+	src := &errAfterSource{n: 4, err: broken, base: fmcw.DefaultParams()}
+	n, err := New(src, &BackgroundSubtractStage{}).Run(context.Background())
+	if !errors.Is(err, broken) {
+		t.Fatalf("Run = %v, want the source error", err)
+	}
+	if errors.As(err, new(stageError)) {
+		t.Fatalf("Run = %v: a source error must not be stage-tagged", err)
+	}
+	if n > 4 {
+		t.Fatalf("counted %d frames, only 4 were emitted", n)
+	}
+}
+
+// TestRunNoStages drains a stage-less pipeline and still counts frames.
+func TestRunNoStages(t *testing.T) {
+	frames := []*fmcw.Frame{
+		fmcw.NewFrame(fmcw.DefaultParams(), 0),
+		fmcw.NewFrame(fmcw.DefaultParams(), 1),
+	}
+	n, err := New(FromFrames(frames)).Run(context.Background())
+	if err != nil || n != 2 {
+		t.Fatalf("Run = (%d, %v), want (2, nil)", n, err)
+	}
+}

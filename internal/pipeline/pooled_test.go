@@ -22,7 +22,7 @@ func TestPooledRunRecyclesBuffers(t *testing.T) {
 	if _, err := New(src, stages...).UsePools(pl).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Sequential run: exactly one raw frame + one diff in flight, both
+	// Run keeps exactly one raw frame + one diff in flight, both
 	// recycled at item completion. The pool should hold a tiny constant
 	// number of frames, not one per processed frame.
 	if got := pl.Frames.Len(); got == 0 || got > 4 {

@@ -120,11 +120,10 @@ func tracksEqual(got, want []*radar.Track) error {
 }
 
 // TestPooledEquivalentToUnpooled is the golden contract of the front
-// end: for every worker count, under both the sequential and the
-// concurrent runner, the planned chain with every buffer recycled —
-// subtract, beamform, peak-extract, Doppler, velocity tracking — produces
-// the unpooled per-frame reference's detections and tracks, frame for
-// frame and point for point.
+// end: for every worker count, the planned chain with every buffer
+// recycled — subtract, beamform, peak-extract, Doppler, velocity tracking —
+// produces the unpooled per-frame reference's detections and tracks, frame
+// for frame and point for point.
 func TestPooledEquivalentToUnpooled(t *testing.T) {
 	const nFrames = 18
 	const seed = 11
@@ -136,25 +135,23 @@ func TestPooledEquivalentToUnpooled(t *testing.T) {
 	wantTracks := referenceTracks(frames, wantDets, array, window)
 
 	for _, workers := range []int{1, 2, 0} {
-		for _, depth := range []int{0, 1, 4} { // 0 = sequential Run
-			fe, pools, plan := frontEnd(s.Scene, workers)
-			detsC := NewCollectDetections()
-			trk := NewTrackWithVelocity(radar.TrackerConfig{}, array)
-			stages := append(fe, NewDopplerPlanned(plan, window, 0, pools.Doppler), trk, detsC)
-			src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames).UseWorkers(workers)
-			n, err := runDepth(New(src, stages...).UsePools(pools), depth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != nFrames {
-				t.Fatalf("workers=%d depth=%d: %d frames, want %d", workers, depth, n, nFrames)
-			}
-			if !reflect.DeepEqual(detsC.Detections(), wantDets) {
-				t.Fatalf("workers=%d depth=%d: planned detections differ from the reference", workers, depth)
-			}
-			if err := tracksEqual(trk.Tracks(), wantTracks); err != nil {
-				t.Fatalf("workers=%d depth=%d: %v", workers, depth, err)
-			}
+		fe, pools, plan := frontEnd(s.Scene, workers)
+		detsC := NewCollectDetections()
+		trk := NewTrackWithVelocity(radar.TrackerConfig{}, array)
+		stages := append(fe, NewDopplerPlanned(plan, window, 0, pools.Doppler), trk, detsC)
+		src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames).UseWorkers(workers)
+		n, err := New(src, stages...).UsePools(pools).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != nFrames {
+			t.Fatalf("workers=%d: %d frames, want %d", workers, n, nFrames)
+		}
+		if !reflect.DeepEqual(detsC.Detections(), wantDets) {
+			t.Fatalf("workers=%d: planned detections differ from the reference", workers)
+		}
+		if err := tracksEqual(trk.Tracks(), wantTracks); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 	}
 }
@@ -163,7 +160,7 @@ func TestPooledEquivalentToUnpooled(t *testing.T) {
 // outputs against the unpooled reference: every range–angle power map
 // matches Processor.RangeAngle on fresh buffers, and the last range–Doppler
 // map matches one computed on a fresh map over the reference's last window
-// of frames, for the sequential and the concurrent runner.
+// of frames.
 func TestPlannedEquivalentToUnpooled(t *testing.T) {
 	const nFrames = 18
 	const seed = 11
@@ -177,40 +174,29 @@ func TestPlannedEquivalentToUnpooled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, depth := range []int{0, 4} { // 0 = sequential Run
-		fe, pools, plan := frontEnd(s.Scene, 1)
-		profsC := &profileCopies{}
-		dopC := &dopplerCopies{}
-		stages := append(fe, profsC, NewDopplerPlanned(plan, window, 0, pools.Doppler), dopC)
-		src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames).UseWorkers(1)
-		n, err := runDepth(New(src, stages...).UsePools(pools), depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != nFrames {
-			t.Fatalf("depth=%d: %d frames, want %d", depth, n, nFrames)
-		}
-		if len(profsC.power) != len(wantProfs) {
-			t.Fatalf("depth=%d: %d profiles, want %d", depth, len(profsC.power), len(wantProfs))
-		}
-		for i := range wantProfs {
-			if !reflect.DeepEqual(profsC.power[i], wantProfs[i].Power) {
-				t.Fatalf("depth=%d: profile %d power map differs from the reference", depth, i)
-			}
-		}
-		if !reflect.DeepEqual(dopC.last, wantDoppler.Power) {
-			t.Fatalf("depth=%d: last range–Doppler map differs from the reference", depth)
+	fe, pools, plan := frontEnd(s.Scene, 1)
+	profsC := &profileCopies{}
+	dopC := &dopplerCopies{}
+	stages := append(fe, profsC, NewDopplerPlanned(plan, window, 0, pools.Doppler), dopC)
+	src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames).UseWorkers(1)
+	n, err := New(src, stages...).UsePools(pools).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != nFrames {
+		t.Fatalf("%d frames, want %d", n, nFrames)
+	}
+	if len(profsC.power) != len(wantProfs) {
+		t.Fatalf("%d profiles, want %d", len(profsC.power), len(wantProfs))
+	}
+	for i := range wantProfs {
+		if !reflect.DeepEqual(profsC.power[i], wantProfs[i].Power) {
+			t.Fatalf("profile %d power map differs from the reference", i)
 		}
 	}
-}
-
-// runDepth runs p sequentially when depth is 0, else concurrently with
-// that many items in flight.
-func runDepth(p *Pipeline, depth int) (int, error) {
-	if depth > 0 {
-		return p.RunConcurrent(context.Background(), depth)
+	if !reflect.DeepEqual(dopC.last, wantDoppler.Power) {
+		t.Fatal("last range–Doppler map differs from the reference")
 	}
-	return p.Run(context.Background())
 }
 
 // TestDetectionsCollectorSurvivesRecycling checks the collector keeps its
