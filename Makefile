@@ -2,7 +2,7 @@ GO ?= go
 
 # Coverage floor (percent of statements) enforced by `make cover` on the
 # packages whose correctness rests on their test harness: the streaming
-# pipeline, the FFT batch layer under it, and the spoof-detection suite.
+# pipeline, the dsp kernels under it, and the spoof-detection suite.
 COVER_MIN ?= 80
 COVER_PKGS ?= ./internal/pipeline ./internal/dsp ./internal/detect
 

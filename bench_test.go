@@ -53,7 +53,7 @@ func BenchmarkFig7MutualInformation(b *testing.B) {
 func BenchmarkFig9RadarLocalization(b *testing.B) {
 	var med float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(1)
+		r, err := experiments.Fig9Ctx(context.Background(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkFig10RangeAngleProfiles(b *testing.B) {
 	sz := benchSizes()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(sz, 2)
+		r, err := experiments.Fig10Ctx(context.Background(), sz, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkFig11Spoofing(b *testing.B) {
 	sz := benchSizes()
 	var home, office float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(sz, 3)
+		r, err := experiments.Fig11Ctx(context.Background(), sz, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkTable1UserStudy(b *testing.B) {
 func BenchmarkFig13LegitimateSensing(b *testing.B) {
 	var kept float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig13(5)
+		r, err := experiments.Fig13Ctx(context.Background(), 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func BenchmarkFig13LegitimateSensing(b *testing.B) {
 func BenchmarkFig14BreathingSpoof(b *testing.B) {
 	var ghostRate float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig14(6)
+		r, err := experiments.Fig14Ctx(context.Background(), 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkRunAll(b *testing.B) {
 	sz := benchSizes()
 	sz.TrajPerRoom = 2
 	for i := 0; i < b.N; i++ {
-		if err := experiments.Run("all", sz, 1, io.Discard); err != nil {
+		if err := experiments.RunCtx(context.Background(), "all", sz, 1, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,8 +206,7 @@ func BenchmarkPipelineFrameSynthesis(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineRangeFFT measures the cached-plan 512-point range FFT
-// and the 64-row batch shape of a Doppler burst.
+// BenchmarkPipelineRangeFFT measures the cached-plan 512-point range FFT.
 func BenchmarkPipelineRangeFFT(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	row := make([]complex128, 512)
@@ -221,19 +220,6 @@ func BenchmarkPipelineRangeFFT(b *testing.B) {
 			dsp.FFTInPlace(buf)
 		}
 	})
-	batch := make([][]complex128, 64)
-	for k := range batch {
-		r := make([]complex128, 512)
-		copy(r, row)
-		batch[k] = r
-	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("batch-64x512-workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dsp.FFTEach(batch, workers)
-			}
-		})
-	}
 }
 
 // BenchmarkMagnitude measures the magnitude kernel both ways — the
@@ -358,7 +344,7 @@ func BenchmarkStreamingCancellation(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	var withSpeckle float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Ablation(11)
+		r, err := experiments.AblationCtx(context.Background(), 11)
 		if err != nil {
 			b.Fatal(err)
 		}

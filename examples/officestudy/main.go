@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -38,7 +39,7 @@ func main() {
 		}
 		gen := tr.G.Generate(1, i%motion.NumClasses, rng)[0]
 		world := experiments.FitGhostTrajectory(gen, env, room, rng)
-		m, err := env.MeasureGhost(world, motion.SampleRate, rng)
+		m, err := env.MeasureGhostCtx(context.Background(), world, motion.SampleRate, rng)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

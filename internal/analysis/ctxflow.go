@@ -16,13 +16,12 @@ import (
 //     context derived from it) is the only root in scope.
 //  2. A function that receives a context must not call the context-free
 //     variant of a first-party API whose *Ctx sibling exists (ForEach vs
-//     ForEachCtx, Fig10 vs Fig10Ctx, ...): calling the bare variant
-//     silently detaches the subtree from cancellation.
+//     ForEachCtx, ...): calling the bare variant silently detaches the
+//     subtree from cancellation.
 //  3. Outside package main and tests, context.Background()/TODO() is
 //     forbidden everywhere: roots are created at the edges (main, signal
-//     handlers) and passed down. Legacy compatibility wrappers carry an
-//     explicit //rfvet:allow ctxflow annotation (experiments.Run is the
-//     canonical one).
+//     handlers) and passed down. A deliberate exception carries an
+//     explicit //rfvet:allow ctxflow annotation with its justification.
 //
 // Passing a nil ctx while holding a real one is flagged for the same
 // reason as rule 2: this module's nil-context idiom means "never cancel",

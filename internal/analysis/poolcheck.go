@@ -8,15 +8,15 @@ import (
 )
 
 // PoolCheck enforces the buffer-ownership contract from DESIGN.md: a
-// checkout from a free list (FramePool.Get, ProfilePool.Get, the pipeline
-// Item list) must, inside the acquiring function, either reach a matching
-// Put on every non-error path or be handed off through a documented
-// ownership-transfer point (returned, stored into a struct field, passed
-// to another function, sent on a channel). On top of the leak check it
-// flags the two misuse classes the contract comments cannot catch: touching
-// a buffer after it went back to the pool, and capturing a pooled buffer in
-// a goroutine closure (the pool may hand it to another frame while the
-// goroutine still reads it).
+// checkout from a free list (FramePool.Get, ProfilePool.Get,
+// DopplerPool.Get) must, inside the acquiring function, either reach a
+// matching Put on every non-error path or be handed off through a
+// documented ownership-transfer point (returned, stored into a struct
+// field, passed to another function, sent on a channel). On top of the
+// leak check it flags the two misuse classes the contract comments cannot
+// catch: touching a buffer after it went back to the pool, and capturing a
+// pooled buffer in a goroutine closure (the pool may hand it to another
+// frame while the goroutine still reads it).
 var PoolCheck = &Analyzer{
 	Name: "poolcheck",
 	Doc: "pooled buffers must reach Put on all non-error paths or be handed off; " +
@@ -190,22 +190,17 @@ func (pc *poolChecker) collectAcquires(body *ast.BlockStmt) {
 }
 
 // isAcquireCall reports whether the call checks a buffer out of a
-// first-party free list: a Get* method on a *Pool type, or the pipeline's
-// getItem/GetItem item list.
+// first-party free list: a Get* method on a *Pool type.
 func (pc *poolChecker) isAcquireCall(call *ast.CallExpr) bool {
 	fn := calleeFunc(pc.pass.TypesInfo, call)
 	if !firstParty(fn, pc.pass.ModulePath) {
 		return false
 	}
-	name := fn.Name()
-	if name == "getItem" || name == "GetItem" {
-		return true
-	}
 	recv := funcSig(fn).Recv()
 	if recv == nil {
 		return false
 	}
-	return strings.HasPrefix(name, "Get") && strings.HasSuffix(namedTypeName(recv.Type()), "Pool")
+	return strings.HasPrefix(fn.Name(), "Get") && strings.HasSuffix(namedTypeName(recv.Type()), "Pool")
 }
 
 // isReleaseCall reports whether the call returns its pooled argument to a

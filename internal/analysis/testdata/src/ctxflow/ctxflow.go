@@ -56,8 +56,8 @@ func root() error {
 	return WorkCtx(context.Background()) // want `library code`
 }
 
-// legacyRun mirrors experiments.Run: a compatibility wrapper that may
-// synthesize a root because it is the documented context-free entry point.
+// legacyRun is a compatibility wrapper that may synthesize a root because it
+// is a documented context-free entry point.
 func legacyRun() error {
 	return WorkCtx(context.Background()) //rfvet:allow ctxflow -- fixture: legacy wrapper
 }

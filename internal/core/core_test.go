@@ -153,7 +153,13 @@ func TestLegitSensorFiltersGhost(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	frames := sc.Capture(0, n, rng)
 	detSeq := referenceDetections(frames, sc.Radar)
-	tracks := radar.TrackDetections(radar.TrackerConfig{}, detSeq)
+	tracker := radar.NewTracker(radar.TrackerConfig{})
+	for _, dets := range detSeq {
+		if len(dets) > 0 {
+			tracker.Observe(dets[0].Time, dets)
+		}
+	}
+	tracks := tracker.Tracks()
 	if len(tracks) < 2 {
 		t.Fatalf("eavesdropper sees %d tracks, want >= 2 (human + ghost)", len(tracks))
 	}

@@ -23,8 +23,6 @@
 // precomputed FFT), built once per size behind a mutex and shared by all
 // goroutines; planned transforms are bit-identical to unplanned ones
 // because the tables replicate the incremental twiddle recurrence exactly.
-// FFTEach/IFFTEach transform a batch of rows concurrently, and ParallelMap
-// generalizes that to any per-row kernel.
 //
 // # Real-input FFT conventions
 //
@@ -43,7 +41,7 @@
 // # Window conventions
 //
 // Window.Coefficients(n) returns the full (periodic-symmetric) n-point
-// window; Apply/ApplyFloat multiply element-wise into a fresh slice. The
+// window; WindowedFFTTo/WindowedRFFTTo apply it inside the transform. The
 // radar pipeline windows before the range FFT (Hann by default) to trade
 // main-lobe width for sidelobe suppression; windows are not normalized, so
 // absolute powers are comparable only under the same window.

@@ -1,18 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"math/cmplx"
-)
-
-// Phase returns the wrapped phase angle of each element of x in (-π, π].
-func Phase(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Phase(v)
-	}
-	return out
-}
+import "math"
 
 // Unwrap removes 2π discontinuities from a wrapped phase series, returning a
 // new slice.

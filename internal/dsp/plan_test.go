@@ -84,61 +84,6 @@ func TestPlanCacheConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestFFTEachMatchesSequential checks the batch helpers against row-by-row
-// transforms for every worker count, including mixed row lengths.
-func TestFFTEachMatchesSequential(t *testing.T) {
-	lengths := []int{512, 512, 100, 64, 12, 1, 0}
-	mkBatch := func() [][]complex128 {
-		batch := make([][]complex128, len(lengths))
-		for i, n := range lengths {
-			batch[i] = randSignal(n, int64(100+i))
-		}
-		return batch
-	}
-	ref := mkBatch()
-	for _, row := range ref {
-		FFTInPlace(row)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		batch := mkBatch()
-		FFTEach(batch, workers)
-		for i := range batch {
-			for j := range batch[i] {
-				if batch[i][j] != ref[i][j] {
-					t.Fatalf("workers=%d row %d bin %d differs", workers, i, j)
-				}
-			}
-		}
-	}
-	// Round trip through the inverse batch helper.
-	batch := mkBatch()
-	FFTEach(batch, 4)
-	IFFTEach(batch, 4)
-	orig := mkBatch()
-	for i := range batch {
-		for j := range batch[i] {
-			if cmplx.Abs(batch[i][j]-orig[i][j]) > 1e-9 {
-				t.Fatalf("round trip row %d bin %d: %v vs %v", i, j, batch[i][j], orig[i][j])
-			}
-		}
-	}
-}
-
-// TestParallelMapAppliesKernelToEveryRow uses a non-FFT kernel to pin the
-// generic contract.
-func TestParallelMapAppliesKernelToEveryRow(t *testing.T) {
-	batch := make([][]complex128, 37)
-	for i := range batch {
-		batch[i] = []complex128{complex(float64(i), 0)}
-	}
-	ParallelMap(batch, 4, func(row []complex128) { row[0] *= 2 })
-	for i := range batch {
-		if batch[i][0] != complex(2*float64(i), 0) {
-			t.Fatalf("row %d not transformed exactly once", i)
-		}
-	}
-}
-
 func BenchmarkFFT512Cached(b *testing.B) {
 	x := randSignal(512, 1)
 	buf := make([]complex128, 512)
@@ -158,31 +103,5 @@ func BenchmarkFFTBluestein100Cached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
 		FFTInPlace(buf)
-	}
-}
-
-func benchBatch(rows, n int) [][]complex128 {
-	batch := make([][]complex128, rows)
-	for i := range batch {
-		batch[i] = randSignal(n, int64(i))
-	}
-	return batch
-}
-
-func BenchmarkFFTEachSequential(b *testing.B) {
-	batch := benchBatch(64, 512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FFTEach(batch, 1)
-	}
-}
-
-func BenchmarkFFTEachParallel(b *testing.B) {
-	batch := benchBatch(64, 512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FFTEach(batch, 0)
 	}
 }

@@ -59,22 +59,3 @@ func (w Window) Coefficients(n int) []float64 {
 	}
 	return out
 }
-
-// Apply multiplies x element-wise by the window in place and returns x.
-// It panics if lengths differ from the window length implied by x.
-func (w Window) Apply(x []complex128) []complex128 {
-	c := w.Coefficients(len(x))
-	for i := range x {
-		x[i] *= complex(c[i], 0)
-	}
-	return x
-}
-
-// ApplyFloat multiplies x element-wise by the window in place and returns x.
-func (w Window) ApplyFloat(x []float64) []float64 {
-	c := w.Coefficients(len(x))
-	for i := range x {
-		x[i] *= c[i]
-	}
-	return x
-}

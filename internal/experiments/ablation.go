@@ -38,13 +38,8 @@ type AblationResult struct {
 	RawPowerRatio     float64
 }
 
-// Ablation runs all three ablations at reduced scale.
-func Ablation(seed int64) (AblationResult, error) {
-	return AblationCtx(nil, seed)
-}
-
-// AblationCtx is Ablation with cooperative cancellation through every
-// capture; a nil ctx never cancels.
+// AblationCtx runs all three ablations at reduced scale, with cooperative
+// cancellation through every capture; a nil ctx never cancels.
 func AblationCtx(ctx context.Context, seed int64) (AblationResult, error) {
 	var res AblationResult
 	params := fmcw.DefaultParams()

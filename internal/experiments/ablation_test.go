@@ -1,12 +1,15 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full radar sweeps")
 	}
-	r, err := Ablation(11)
+	r, err := AblationCtx(context.Background(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,11 +217,6 @@ func humanScene(traj geom.Trajectory) (*scene.Scene, error) {
 	return sess.Scene, nil
 }
 
-// ArmsRace runs the full experiment. See ArmsRaceCtx.
-func ArmsRace(sz Sizes, seed int64) (ArmsRaceResult, error) {
-	return ArmsRaceCtx(nil, sz, seed)
-}
-
 // ArmsRaceCtx runs the detector arms race at the given scale: sz.TrajPerRoom
 // trajectory pairs per class. A nil ctx never cancels; a done ctx aborts
 // between captures with ctx.Err().

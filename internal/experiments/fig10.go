@@ -31,13 +31,8 @@ type Fig10Result struct {
 	MeanError float64
 }
 
-// Fig10 runs the reflector microbenchmarks of §10.2 and §10.3 in the office
-// environment.
-func Fig10(sz Sizes, seed int64) (Fig10Result, error) {
-	return Fig10Ctx(nil, sz, seed)
-}
-
-// Fig10Ctx is Fig10 with cooperative cancellation through the profile
+// Fig10Ctx runs the reflector microbenchmarks of §10.2 and §10.3 in the
+// office environment, with cooperative cancellation through the profile
 // captures and the trajectory measurement; a nil ctx never cancels.
 func Fig10Ctx(ctx context.Context, sz Sizes, seed int64) (Fig10Result, error) {
 	params := fmcw.DefaultParams()

@@ -37,18 +37,17 @@ type Fig11Result struct {
 	RangeResolution float64
 }
 
-// Fig11 runs the spoofing-accuracy evaluation with sz.TrajPerRoom
-// trajectories per environment.
-func Fig11(sz Sizes, seed int64) (Fig11Result, error) {
-	return Fig11Ctx(nil, sz, seed)
-}
-
-// Fig11Ctx is Fig11 with cooperative cancellation: once ctx is done, no new
-// trials start, in-flight captures stop, and the first ctx error is returned
-// with every worker joined. A nil ctx never cancels.
+// Fig11Ctx runs the spoofing-accuracy evaluation with sz.TrajPerRoom
+// trajectories per environment. A ctx already done returns its error before
+// the cGAN is trained; once ctx is done, no new trials start, in-flight
+// captures stop, and the first ctx error is returned with every worker
+// joined. A nil ctx never cancels.
 func Fig11Ctx(ctx context.Context, sz Sizes, seed int64) (Fig11Result, error) {
 	params := fmcw.DefaultParams()
 	res := Fig11Result{RangeResolution: params.RangeResolution()}
+	if err := ctxErr(ctx); err != nil {
+		return res, err
+	}
 	tr := TrainedGAN(sz, seed)
 	// Paired design: each room sees the same trajectories and anchors, so
 	// the home-vs-office difference isolates the environment.

@@ -27,13 +27,8 @@ type Fig13Result struct {
 	GhostTrajectory    geom.Trajectory
 }
 
-// Fig13 runs the legitimate-sensing scenario in the home environment.
-func Fig13(seed int64) (Fig13Result, error) {
-	return Fig13Ctx(nil, seed)
-}
-
-// Fig13Ctx is Fig13 with cooperative cancellation of the capture; a nil ctx
-// never cancels.
+// Fig13Ctx runs the legitimate-sensing scenario in the home environment,
+// with cooperative cancellation of the capture; a nil ctx never cancels.
 func Fig13Ctx(ctx context.Context, seed int64) (Fig13Result, error) {
 	var res Fig13Result
 	params := fmcw.DefaultParams()

@@ -29,14 +29,9 @@ type Fig9Result struct {
 	Shapes []Fig9Shape
 }
 
-// Fig9 runs the FMCW-radar localization microbenchmark in the office
+// Fig9Ctx runs the FMCW-radar localization microbenchmark in the office
 // environment: a single subject walks two different shapes and the radar's
-// detected trajectory must hug the ground-truth points.
-func Fig9(seed int64) (Fig9Result, error) {
-	return Fig9Ctx(nil, seed)
-}
-
-// Fig9Ctx is Fig9 with cooperative cancellation: once ctx is done the
+// detected trajectory must hug the ground-truth points. Once ctx is done the
 // per-shape captures stop and the first ctx error is returned with every
 // worker joined. A nil ctx never cancels.
 func Fig9Ctx(ctx context.Context, seed int64) (Fig9Result, error) {

@@ -29,14 +29,9 @@ type MultiRadarResult struct {
 	Gate              float64
 }
 
-// MultiRadar runs the two-radar consistency check in the home environment.
-func MultiRadar(seed int64) (MultiRadarResult, error) {
-	return MultiRadarCtx(nil, seed)
-}
-
-// MultiRadarCtx is MultiRadar with cooperative cancellation: both radars'
-// captures stop once ctx is done and the first ctx error is returned with
-// both workers joined. A nil ctx never cancels.
+// MultiRadarCtx runs the two-radar consistency check in the home
+// environment. Both radars' captures stop once ctx is done and the first ctx
+// error is returned with both workers joined. A nil ctx never cancels.
 func MultiRadarCtx(ctx context.Context, seed int64) (MultiRadarResult, error) {
 	var res MultiRadarResult
 	res.Gate = 1.0

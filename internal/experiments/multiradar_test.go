@@ -1,9 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestMultiRadarFlagsGhost(t *testing.T) {
-	r, err := MultiRadar(8)
+	r, err := MultiRadarCtx(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -13,10 +14,10 @@ import (
 func TestExperimentReportsAreScheduleIndependent(t *testing.T) {
 	for _, name := range []string{"fig9", "fig14", "multiradar"} {
 		var a, b bytes.Buffer
-		if err := Run(name, Quick(), 1, &a); err != nil {
+		if err := RunCtx(context.Background(), name, Quick(), 1, &a); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := Run(name, Quick(), 1, &b); err != nil {
+		if err := RunCtx(context.Background(), name, Quick(), 1, &b); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if a.String() != b.String() {

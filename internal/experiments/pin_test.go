@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -68,7 +69,7 @@ func TestFrontEndOutputsPinned(t *testing.T) {
 	}
 	t.Run("fig9", func(t *testing.T) {
 		t.Parallel()
-		r, err := Fig9(1)
+		r, err := Fig9Ctx(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestFrontEndOutputsPinned(t *testing.T) {
 		t.Parallel()
 		// Only the (a)/(b) profiles are pinned, to the bits they had before
 		// moving onto differenceProfile; a token GAN keeps (c) cheap.
-		r, err := Fig10(Sizes{CorpusSize: 20, GANSteps: 1}, 4)
+		r, err := Fig10Ctx(context.Background(), Sizes{CorpusSize: 20, GANSteps: 1}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,17 +100,17 @@ func TestFrontEndOutputsPinned(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(parallel.SplitSeed(2, ri)))
 			world := FitGhostTrajectory(ds.Traces[ri], env, room, rng)
-			m, err := env.MeasureGhost(world, motion.SampleRate, rng)
+			m, err := env.MeasureGhostCtx(context.Background(), world, motion.SampleRate, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
 			vals = append(vals, m.Measured, m.Requested, m.Expected)
 		}
-		check(t, "MeasureGhost", 0xd161c87842ebab06, outputHash(vals...))
+		check(t, "measure-ghost", 0xd161c87842ebab06, outputHash(vals...))
 	})
 	t.Run("fig13", func(t *testing.T) {
 		t.Parallel()
-		r, err := Fig13(5)
+		r, err := Fig13Ctx(context.Background(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestFrontEndOutputsPinned(t *testing.T) {
 	})
 	t.Run("fig14", func(t *testing.T) {
 		t.Parallel()
-		r, err := Fig14(6)
+		r, err := Fig14Ctx(context.Background(), 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestFrontEndOutputsPinned(t *testing.T) {
 	})
 	t.Run("probe", func(t *testing.T) {
 		t.Parallel()
-		r, err := Probe(3)
+		r, err := ProbeCtx(context.Background(), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func TestFrontEndOutputsPinned(t *testing.T) {
 	})
 	t.Run("ablation", func(t *testing.T) {
 		t.Parallel()
-		r, err := Ablation(11)
+		r, err := AblationCtx(context.Background(), 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestFrontEndOutputsPinned(t *testing.T) {
 	})
 	t.Run("multiradar", func(t *testing.T) {
 		t.Parallel()
-		r, err := MultiRadar(8)
+		r, err := MultiRadarCtx(context.Background(), 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestFrontEndOutputsPinned(t *testing.T) {
 	})
 	t.Run("armsrace", func(t *testing.T) {
 		t.Parallel()
-		r, err := ArmsRace(Sizes{TrajPerRoom: 2}, 1)
+		r, err := ArmsRaceCtx(context.Background(), Sizes{TrajPerRoom: 2}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

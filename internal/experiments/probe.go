@@ -32,13 +32,8 @@ type ProbeResult struct {
 	NoiseFloor       float64
 }
 
-// Probe runs the radar-off detection experiment.
-func Probe(seed int64) (ProbeResult, error) {
-	return ProbeCtx(nil, seed)
-}
-
-// ProbeCtx is Probe with cooperative cancellation of the visibility
-// captures; a nil ctx never cancels.
+// ProbeCtx runs the radar-off detection experiment, with cooperative
+// cancellation of the visibility captures; a nil ctx never cancels.
 func ProbeCtx(ctx context.Context, seed int64) (ProbeResult, error) {
 	var res ProbeResult
 	params := fmcw.DefaultParams()

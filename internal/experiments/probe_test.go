@@ -1,9 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestProbeDistinguishesDefenses(t *testing.T) {
-	r, err := Probe(3)
+	r, err := ProbeCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

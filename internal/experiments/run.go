@@ -123,7 +123,7 @@ var Registry = map[string]Runner{
 	},
 }
 
-// ctxErr is ctx.Err() tolerating the nil ctx the Ctx-less wrappers pass.
+// ctxErr is ctx.Err() tolerating a nil ctx, which never cancels.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -152,12 +152,6 @@ var ganBacked = map[string]bool{
 	"fig12":     true,
 	"floorplan": true,
 	"table1":    true,
-}
-
-// Run executes one experiment by name, or all of them for name == "all",
-// with no cancellation. It is RunCtx with a background context.
-func Run(name string, sz Sizes, seed int64, w io.Writer) error {
-	return RunCtx(context.Background(), name, sz, seed, w) //rfvet:allow ctxflow -- legacy context-free entry point: the wrapper's whole job is to synthesize the root
 }
 
 // RunCtx executes one experiment by name, or all of them for name == "all",

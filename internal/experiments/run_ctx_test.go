@@ -70,26 +70,29 @@ func TestRunCtxCancelMidSweep(t *testing.T) {
 	}
 }
 
-// TestRunCtxBackgroundMatchesRun: with a live ctx, RunCtx is Run — same
-// report bytes for a cheap experiment.
-func TestRunCtxBackgroundMatchesRun(t *testing.T) {
-	var a, b captureWriter
-	if err := Run("fig7", Quick(), 1, &a); err != nil {
-		t.Fatal(err)
+// TestRegistryRunnersHonorCanceledCtx: every registered runner, handed a
+// ctx that is already done, returns context.Canceled without doing the
+// experiment's work — in particular without training a cGAN first. The
+// seed is one no other test uses, so a runner that trained would leave the
+// TrainedGAN cache keyed to it.
+func TestRegistryRunnersHonorCanceledCtx(t *testing.T) {
+	const seed = 16016
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cacheKey := func() any {
+		sharedMu.Lock()
+		defer sharedMu.Unlock()
+		return sharedKey
 	}
-	if err := RunCtx(context.Background(), "fig7", Quick(), 1, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("RunCtx with a background ctx diverges from Run")
+	before := cacheKey()
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			if err := Registry[name](ctx, Quick(), seed, io.Discard); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s runner = %v, want context.Canceled", name, err)
+			}
+			if after := cacheKey(); after != before {
+				t.Fatalf("%s trained a cGAN under a canceled ctx: cache key %+v -> %+v", name, before, after)
+			}
+		})
 	}
 }
-
-type captureWriter struct{ buf []byte }
-
-func (w *captureWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *captureWriter) String() string { return string(w.buf) }

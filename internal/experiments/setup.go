@@ -75,7 +75,7 @@ func (e *Env) GhostAnchor(rng *rand.Rand, extent float64) geom.Point {
 
 // sharedTrainer caches one trained cGAN per (sizes, seed) so the many
 // experiments that need generated trajectories don't retrain. sharedMu
-// serializes the cache because the Run("all") sweep calls TrainedGAN from
+// serializes the cache because the RunCtx("all") sweep calls TrainedGAN from
 // concurrent experiments; the first caller trains while the rest block,
 // and training is seeded, so the winner is the same trainer a sequential
 // sweep would have built.
@@ -117,14 +117,9 @@ type GhostMeasurement struct {
 	Expected  geom.Trajectory
 }
 
-// MeasureGhost programs a ghost trajectory (world coordinates) against the
-// environment's radar, captures frames over the session, and matches each
-// frame's detections against the expected ghost position.
-func (e *Env) MeasureGhost(traj geom.Trajectory, fs float64, rng *rand.Rand) (GhostMeasurement, error) {
-	return e.MeasureGhostCtx(nil, traj, fs, rng)
-}
-
-// MeasureGhostCtx is MeasureGhost with cooperative cancellation: the frame
+// MeasureGhostCtx programs a ghost trajectory (world coordinates) against
+// the environment's radar, captures frames over the session, and matches
+// each frame's detections against the expected ghost position. The frame
 // capture stops and ctx.Err() is returned once ctx is done. A nil ctx never
 // cancels.
 func (e *Env) MeasureGhostCtx(ctx context.Context, traj geom.Trajectory, fs float64, rng *rand.Rand) (GhostMeasurement, error) {

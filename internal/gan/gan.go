@@ -106,17 +106,8 @@ func NewGenerator(cfg Config, rng *rand.Rand) *Generator {
 
 // Params implements nn.Module.
 func (g *Generator) Params() []*nn.Param {
-	return nn.CollectParams(g.Emb, g.Seed, g.LSTM1, g.Drop1Module(), g.LSTM2, g.Drop2Module(), g.Out)
+	return nn.CollectParams(g.Emb, g.Seed, g.LSTM1, g.LSTM2, g.Out)
 }
-
-// Drop1Module / Drop2Module adapt the dropout layers (which hold no params)
-// to the Module interface for completeness.
-func (g *Generator) Drop1Module() nn.Module { return paramless{} }
-func (g *Generator) Drop2Module() nn.Module { return paramless{} }
-
-type paramless struct{}
-
-func (paramless) Params() []*nn.Param { return nil }
 
 // reset clears all forward caches.
 func (g *Generator) reset() {

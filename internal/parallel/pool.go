@@ -116,12 +116,9 @@ func (p *Pool) consume(b *batch) {
 	}
 }
 
-// Workers returns the pool's fixed worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Close shuts the pool down: no further ForEach calls may be made,
-// and Close returns once every worker has exited. The process-wide Default
-// pool is never closed.
+// and Close returns once every worker has exited. The process-wide
+// defaultPool is never closed.
 func (p *Pool) Close() {
 	close(p.tasks)
 	p.wg.Wait()
@@ -251,10 +248,8 @@ func (p *Pool) runBatch(b *batch, helpers int) {
 	}
 }
 
-// Default returns the process-wide pool backing the package-level
+// defaultPool is the process-wide pool backing the package-level
 // ForEach/ForEachCtx. It is created at package init with Workers(0)
 // goroutines — before any test baseline or leak check can observe the
 // spawn — and is never closed.
-func Default() *Pool { return defaultPool }
-
 var defaultPool = NewPool(0)

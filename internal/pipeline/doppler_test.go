@@ -49,7 +49,7 @@ func lastDopplerMap(t *testing.T, frames []*fmcw.Frame, window int) *radar.Range
 			last = it.RangeDoppler
 		}
 	})
-	if _, err := New(FromFrames(frames), dop, keep).Run(context.Background()); err != nil {
+	if _, err := New(fromFrames(frames), dop, keep).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if last == nil {
@@ -61,7 +61,7 @@ func lastDopplerMap(t *testing.T, frames []*fmcw.Frame, window int) *radar.Range
 // TestDopplerStagePeakMatchesVelocity is the physical property the Doppler
 // subsystem must satisfy: a scatterer at constant radial velocity v puts
 // its slow-time peak within one Doppler bin of the physical Doppler
-// frequency 2·v·f_c/C (equivalently, bin BinOfVelocity(v)), at the right
+// frequency 2·v·f_c/C (equivalently, the bin VelocityOfBin maps to v), at the right
 // range; a static scatterer lands in the zero-Doppler bin. Table-driven
 // over approaching and receding velocities at multiple ranges.
 func TestDopplerStagePeakMatchesVelocity(t *testing.T) {
@@ -97,7 +97,7 @@ func TestDopplerStagePeakMatchesVelocity(t *testing.T) {
 			if bestP == 0 {
 				t.Fatal("empty range–Doppler map")
 			}
-			wantD := m.BinOfVelocity(c.v)
+			wantD := -2*c.v/m.Params.Wavelength()*float64(m.DopplerBins)*m.PRI + float64(m.DopplerBins)/2
 			if c.v == 0 && wantD != float64(m.DopplerBins)/2 {
 				t.Fatalf("zero velocity maps to bin %v, want the zero-Doppler bin %d", wantD, m.DopplerBins/2)
 			}

@@ -113,10 +113,10 @@ func FuzzStageComposition(f *testing.F) {
 			return got, err
 		}
 		run := func() (int, [][]radar.Detection, error) {
-			dets := NewCollectDetections()
+			dets := &detectionsCollector{}
 			stages := append(fuzzStages(order, array), dets)
-			got, err := live(context.Background(), New(FromFrames(frames), stages...), "uncanceled")
-			return got, dets.Detections(), err
+			got, err := live(context.Background(), New(fromFrames(frames), stages...), "uncanceled")
+			return got, dets.dets, err
 		}
 
 		firstN, firstDets, firstErr := run()
@@ -138,7 +138,7 @@ func FuzzStageComposition(f *testing.F) {
 			defer cancel()
 			after := rand.New(rand.NewSource(int64(n*31+len(order)))).Intn(n) + 1
 			stages := append(fuzzStages(order, array), &cancelAfter{n: after, cancel: cancel})
-			live(ctx, New(FromFrames(frames), stages...), "canceled") //nolint:errcheck // any ctx/nil outcome is fine; liveness is the property
+			live(ctx, New(fromFrames(frames), stages...), "canceled") //nolint:errcheck // any ctx/nil outcome is fine; liveness is the property
 		}
 	})
 }

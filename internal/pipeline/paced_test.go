@@ -18,7 +18,7 @@ func TestPacedSourceRate(t *testing.T) {
 		return []*fmcw.Frame{fmcw.NewFrame(p, 0), fmcw.NewFrame(p, 1), fmcw.NewFrame(p, 2), fmcw.NewFrame(p, 3)}
 	}
 	const rate = 200.0 // 5 ms per frame
-	src := NewPaced(FromFrames(mk()), rate)
+	src := NewPaced(fromFrames(mk()), rate)
 	start := time.Now()
 	n := 0
 	for {
@@ -38,7 +38,7 @@ func TestPacedSourceRate(t *testing.T) {
 		t.Fatalf("4 frames at %v Hz took %v, want >= %v", rate, time.Since(start), min)
 	}
 	// frameRate <= 0 disables pacing entirely.
-	fast := NewPaced(FromFrames(mk()), 0)
+	fast := NewPaced(fromFrames(mk()), 0)
 	start = time.Now()
 	for i := 0; i < 4; i++ {
 		if _, err := fast.Next(nil); err != nil {
@@ -53,7 +53,7 @@ func TestPacedSourceRate(t *testing.T) {
 // TestPacedSourceCancelDuringWait interrupts the inter-frame wait.
 func TestPacedSourceCancelDuringWait(t *testing.T) {
 	p := fmcw.DefaultParams()
-	src := NewPaced(FromFrames([]*fmcw.Frame{fmcw.NewFrame(p, 0), fmcw.NewFrame(p, 1)}), 0.5) // 2 s interval
+	src := NewPaced(fromFrames([]*fmcw.Frame{fmcw.NewFrame(p, 0), fmcw.NewFrame(p, 1)}), 0.5) // 2 s interval
 	ctx, cancel := context.WithCancel(context.Background())
 	if _, err := src.Next(ctx); err != nil {
 		t.Fatal(err)

@@ -10,8 +10,7 @@ import (
 
 // Source emits the frames a pipeline consumes, one at a time. Next returns
 // io.EOF when the stream is exhausted and ctx.Err() once ctx is done.
-// scene.FrameStream is the canonical implementation; FromFrames adapts an
-// already-captured slice (replays, tests).
+// scene.FrameStream is the canonical implementation.
 type Source interface {
 	Next(ctx context.Context) (*fmcw.Frame, error)
 }
@@ -93,9 +92,8 @@ func NewPools(p fmcw.Params) *Pools {
 // only attach pools whose buffers the source and stages actually draw from
 // (scene.FrameStream.UsePool(pl.Frames) + FrontEndStagesPlanned(...)).
 // Attaching pools to a pipeline whose source replays caller-owned frames
-// (FromFrames) would zero and reuse those frames mid-replay. A stage that
-// keeps a buffer past its item's completion copies it (DetectionsCollector
-// copies the detections). It returns p for chaining.
+// would zero and reuse those frames mid-replay. A stage that keeps a buffer
+// past its item's completion copies it. It returns p for chaining.
 func (p *Pipeline) UsePools(pl *Pools) *Pipeline {
 	p.pools = pl
 	return p
@@ -168,29 +166,3 @@ type stageError struct {
 
 func (e stageError) Error() string { return "pipeline: " + e.stage + ": " + e.err.Error() }
 func (e stageError) Unwrap() error { return e.err }
-
-// frameSlice adapts an in-memory frame slice to the Source interface.
-type frameSlice struct {
-	frames []*fmcw.Frame
-	i      int
-}
-
-// FromFrames returns a Source replaying an already-captured slice — the
-// bridge from recorded data (or tests) into the streaming pipeline.
-func FromFrames(frames []*fmcw.Frame) Source {
-	return &frameSlice{frames: frames}
-}
-
-func (s *frameSlice) Next(ctx context.Context) (*fmcw.Frame, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if s.i >= len(s.frames) {
-		return nil, io.EOF
-	}
-	f := s.frames[s.i]
-	s.i++
-	return f, nil
-}

@@ -55,14 +55,20 @@ func TestStreamingEquivalentToBatch(t *testing.T) {
 	// --- Batch path: capture everything, then run the per-frame reference.
 	batchFrames := s.Scene.Capture(0, nFrames, rand.New(rand.NewSource(seed)))
 	batchProfiles, batchDets := referenceFrontEnd(batchFrames, s.Scene.Radar)
-	batchTracks := radar.TrackDetections(radar.TrackerConfig{}, batchDets)
+	batchTracker := radar.NewTracker(radar.TrackerConfig{})
+	for _, dets := range batchDets {
+		if len(dets) > 0 {
+			batchTracker.Observe(dets[0].Time, dets)
+		}
+	}
+	batchTracks := batchTracker.Tracks()
 	batchTimes, batchPhase := radar.BreathingExtractor{}.PhaseSeries(batchFrames, breathDist)
 
 	// --- Streaming path: one frame in flight through the full stage chain,
 	// every buffer recycled.
 	framesC := &frameCopies{}
 	profsC := &profileCopies{}
-	detsC := NewCollectDetections()
+	detsC := &detectionsCollector{}
 	trk := NewTrack(radar.TrackerConfig{})
 	breath := NewBreathingPhase(radar.BreathingExtractor{}, breathDist)
 	fe, pools, _ := frontEnd(s.Scene, 0)
@@ -104,7 +110,7 @@ func TestStreamingEquivalentToBatch(t *testing.T) {
 	}
 
 	// Detections: identical sequence, including empty sets.
-	if !reflect.DeepEqual(detsC.Detections(), batchDets) {
+	if !reflect.DeepEqual(detsC.dets, batchDets) {
 		t.Fatal("detection sequences differ between streaming and batch")
 	}
 
@@ -136,14 +142,14 @@ func TestStreamingEquivalenceAnyWorkerCount(t *testing.T) {
 	const seed = 4
 	s := testSession(t)
 	run := func() [][]radar.Detection {
-		detsC := NewCollectDetections()
+		detsC := &detectionsCollector{}
 		fe, pools, _ := frontEnd(s.Scene, 0)
 		src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames)
 		p := New(src, append(fe, detsC)...).UsePools(pools)
 		if _, err := p.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return detsC.Detections()
+		return detsC.dets
 	}
 	prev := runtime.GOMAXPROCS(1)
 	one := run()
@@ -239,12 +245,12 @@ func TestFromFramesReplay(t *testing.T) {
 	frames := s.Scene.Capture(0, 6, rand.New(rand.NewSource(3)))
 	_, want := referenceFrontEnd(frames, s.Scene.Radar)
 
-	detsC := NewCollectDetections()
+	detsC := &detectionsCollector{}
 	fe, _, _ := frontEnd(s.Scene, 0)
-	if _, err := New(FromFrames(frames), append(fe, detsC)...).Run(nil); err != nil {
+	if _, err := New(fromFrames(frames), append(fe, detsC)...).Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(detsC.Detections(), want) {
+	if !reflect.DeepEqual(detsC.dets, want) {
 		t.Fatal("replayed detections differ from the reference")
 	}
 }
@@ -260,7 +266,7 @@ func (f failStage) Process(ctx context.Context, it *Item) error { return f.err }
 func TestStageErrorTagged(t *testing.T) {
 	boom := errors.New("boom")
 	frames := []*fmcw.Frame{fmcw.NewFrame(fmcw.DefaultParams(), 0)}
-	_, err := New(FromFrames(frames), failStage{err: boom}).Run(context.Background())
+	_, err := New(fromFrames(frames), failStage{err: boom}).Run(context.Background())
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run = %v, want wrapped boom", err)
 	}
@@ -307,7 +313,7 @@ func TestRunNoStages(t *testing.T) {
 		fmcw.NewFrame(fmcw.DefaultParams(), 0),
 		fmcw.NewFrame(fmcw.DefaultParams(), 1),
 	}
-	n, err := New(FromFrames(frames)).Run(context.Background())
+	n, err := New(fromFrames(frames)).Run(context.Background())
 	if err != nil || n != 2 {
 		t.Fatalf("Run = (%d, %v), want (2, nil)", n, err)
 	}

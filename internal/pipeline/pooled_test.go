@@ -130,7 +130,7 @@ func TestPlannedChainZeroAllocsSteadyState(t *testing.T) {
 		f := pools.Frames.Get(float64(i) / p.FrameRate)
 		f.CopyFrom(templates[i%len(templates)])
 		it = Item{Index: i, Frame: f}
-		it.Detections = detBuf[:0] // what getItem's recycling preserves
+		it.Detections = detBuf[:0] // what Run's held Item preserves
 		for _, st := range stages {
 			if err := st.Process(nil, &it); err != nil {
 				t.Fatal(err)

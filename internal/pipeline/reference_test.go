@@ -136,7 +136,7 @@ func TestPooledEquivalentToUnpooled(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 0} {
 		fe, pools, plan := frontEnd(s.Scene, workers)
-		detsC := NewCollectDetections()
+		detsC := &detectionsCollector{}
 		trk := NewTrackWithVelocity(radar.TrackerConfig{}, array)
 		stages := append(fe, NewDopplerPlanned(plan, window, 0, pools.Doppler), trk, detsC)
 		src := s.Scene.Stream(0, nFrames, rand.New(rand.NewSource(seed))).UsePool(pools.Frames).UseWorkers(workers)
@@ -147,7 +147,7 @@ func TestPooledEquivalentToUnpooled(t *testing.T) {
 		if n != nFrames {
 			t.Fatalf("workers=%d: %d frames, want %d", workers, n, nFrames)
 		}
-		if !reflect.DeepEqual(detsC.Detections(), wantDets) {
+		if !reflect.DeepEqual(detsC.dets, wantDets) {
 			t.Fatalf("workers=%d: planned detections differ from the reference", workers)
 		}
 		if err := tracksEqual(trk.Tracks(), wantTracks); err != nil {
@@ -207,7 +207,7 @@ func TestDetectionsCollectorSurvivesRecycling(t *testing.T) {
 	const nFrames = 12
 	s := testSession(t)
 	fe, pools, _ := frontEnd(s.Scene, 1)
-	detsC := NewCollectDetections()
+	detsC := &detectionsCollector{}
 	var live [][]radar.Detection // what the items held while in flight
 	snoop := stageFunc(func(it *Item) {
 		if it.HasDets {
@@ -218,7 +218,7 @@ func TestDetectionsCollectorSurvivesRecycling(t *testing.T) {
 	if _, err := New(src, append(fe, snoop, detsC)...).UsePools(pools).Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	got := detsC.Detections()
+	got := detsC.dets
 	if len(got) != nFrames-1 {
 		t.Fatalf("collected %d detection sets, want %d", len(got), nFrames-1)
 	}

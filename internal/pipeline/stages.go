@@ -56,7 +56,7 @@ func (s *RangeAngleStage) Process(ctx context.Context, it *Item) error {
 // nothing. Items without a Profile pass through untouched; items with one
 // always get a detection set (possibly empty) and HasDets = true. The
 // detections are valid only while the item is in flight: a stage that
-// keeps them copies them (DetectionsCollector does).
+// keeps them copies them.
 type PeakExtractStage struct {
 	pl    *radar.FrontEndPlan
 	array fmcw.Array
@@ -139,11 +139,11 @@ func (s *DopplerStage) Process(ctx context.Context, it *Item) error {
 	return nil
 }
 
-// TrackStage feeds each frame's detections into a multi-target tracker,
-// exactly as radar.TrackDetections does in batch: empty detection sets are
-// skipped, times come from the detections. Built with NewTrackWithVelocity
-// it additionally stamps active tracks with radial velocities from the
-// frame's range–Doppler map whenever one is present.
+// TrackStage feeds each frame's detections into a multi-target tracker:
+// empty detection sets are skipped, times come from the detections. Built
+// with NewTrackWithVelocity it additionally stamps active tracks with
+// radial velocities from the frame's range–Doppler map whenever one is
+// present.
 type TrackStage struct {
 	tr       *radar.Tracker
 	array    fmcw.Array
@@ -217,29 +217,3 @@ func (s *BreathingPhaseStage) Series() (times, phase []float64) {
 	}
 	return s.ps.Series()
 }
-
-// DetectionsCollector accumulates a copy of every per-frame detection set
-// — one per background-subtracted frame, so len(frames)-1 for a capture.
-// Memory grows with capture length — collectors are for consumers that
-// need the whole sequence (measurement matching, tests), not for
-// bounded-memory streaming.
-type DetectionsCollector struct {
-	dets [][]radar.Detection
-}
-
-// NewCollectDetections returns an empty detections collector.
-func NewCollectDetections() *DetectionsCollector { return &DetectionsCollector{} }
-
-func (s *DetectionsCollector) Name() string { return "collect-detections" }
-
-func (s *DetectionsCollector) Process(ctx context.Context, it *Item) error {
-	if it.HasDets {
-		// The item's detection buffer is recycled with the item, so keep a
-		// copy.
-		s.dets = append(s.dets, append(make([]radar.Detection, 0, len(it.Detections)), it.Detections...))
-	}
-	return nil
-}
-
-// Detections returns the accumulated sequence.
-func (s *DetectionsCollector) Detections() [][]radar.Detection { return s.dets }

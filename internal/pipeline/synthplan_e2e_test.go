@@ -69,14 +69,14 @@ func TestPlannedSynthesisSameDetectionsAndTracks(t *testing.T) {
 		cfg.Workers = 1
 		plan := radar.PlanFrontEnd(cfg, frames[0].Params)
 		pools := NewPools(frames[0].Params)
-		detsC := NewCollectDetections()
+		detsC := &detectionsCollector{}
 		trk := NewTrackWithVelocity(radar.TrackerConfig{}, array)
 		stages := FrontEndStagesPlanned(plan, array, pools)
 		stages = append(stages, NewDopplerPlanned(plan, 6, 0, pools.Doppler), trk, detsC)
-		if _, err := New(FromFrames(frames), stages...).Run(context.Background()); err != nil {
+		if _, err := New(fromFrames(frames), stages...).Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return result{dets: detsC.Detections(), tracks: trk.Tracks()}
+		return result{dets: detsC.dets, tracks: trk.Tracks()}
 	}
 
 	ref := run(serialReference)

@@ -39,12 +39,6 @@ func (m *RangeDopplerMap) VelocityOfBin(d float64) float64 {
 	return -fd * m.Params.Wavelength() / 2
 }
 
-// BinOfVelocity inverts VelocityOfBin.
-func (m *RangeDopplerMap) BinOfVelocity(v float64) float64 {
-	fd := -2 * v / m.Params.Wavelength()
-	return fd*float64(m.DopplerBins)*m.PRI + float64(m.DopplerBins)/2
-}
-
 // RangeOfBin converts a range bin to meters.
 func (m *RangeDopplerMap) RangeOfBin(r float64) float64 {
 	n := m.Params.SamplesPerChirp()
@@ -100,67 +94,6 @@ func (m *RangeDopplerMap) PeakVelocityAtRange(rangeM float64, search int) (veloc
 	row := m.Power[bestR*m.DopplerBins : (bestR+1)*m.DopplerBins]
 	dOff := dsp.QuadraticInterp(row, bestD)
 	return m.VelocityOfBin(float64(bestD) + dOff), bestP, true
-}
-
-// RejectStatic zeroes the zero-Doppler ridge (±guard bins) in place,
-// returning the map — Doppler-based static-reflector rejection.
-func (m *RangeDopplerMap) RejectStatic(guard int) *RangeDopplerMap {
-	if m.DopplerBins == 0 {
-		return m
-	}
-	center := m.DopplerBins / 2
-	for r := 0; r < m.RangeBins; r++ {
-		for d := center - guard; d <= center+guard; d++ {
-			if d >= 0 && d < m.DopplerBins {
-				m.Power[r*m.DopplerBins+d] = 0
-			}
-		}
-	}
-	return m
-}
-
-// MovingTarget is a detection in range–Doppler space.
-type MovingTarget struct {
-	Range    float64 // meters
-	Velocity float64 // m/s radial, positive approaching
-	Power    float64
-}
-
-// DetectMoving extracts moving targets from a static-rejected map: 2-D
-// peaks above threshold·maxPower.
-func (m *RangeDopplerMap) DetectMoving(thresholdFrac float64, maxTargets int) []MovingTarget {
-	if len(m.Power) == 0 {
-		return nil
-	}
-	maxPower := 0.0
-	for _, v := range m.Power {
-		if v > maxPower {
-			maxPower = v
-		}
-	}
-	if maxPower == 0 {
-		return nil
-	}
-	peaks := dsp.FindPeaks2D(m.Power, m.RangeBins, m.DopplerBins, thresholdFrac*maxPower, 2)
-	if maxTargets > 0 && len(peaks) > maxTargets {
-		peaks = peaks[:maxTargets]
-	}
-	out := make([]MovingTarget, 0, len(peaks))
-	for _, pk := range peaks {
-		rowSlice := m.Power[pk.Row*m.DopplerBins : (pk.Row+1)*m.DopplerBins]
-		dOff := dsp.QuadraticInterp(rowSlice, pk.Col)
-		col := make([]float64, m.RangeBins)
-		for r := 0; r < m.RangeBins; r++ {
-			col[r] = m.At(r, pk.Col)
-		}
-		rOff := dsp.QuadraticInterp(col, pk.Row)
-		out = append(out, MovingTarget{
-			Range:    m.RangeOfBin(float64(pk.Row) + rOff),
-			Velocity: m.VelocityOfBin(float64(pk.Col) + dOff),
-			Power:    pk.Value,
-		})
-	}
-	return out
 }
 
 // AliasedDoppler folds a raw Doppler frequency into the unambiguous band

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rfprotect/internal/dsp"
 	"rfprotect/internal/fmcw"
 	"rfprotect/internal/geom"
 	"rfprotect/internal/reflector"
@@ -34,11 +35,11 @@ func TestRangeDopplerMovingTarget(t *testing.T) {
 	const pri = 1e-3
 	const nChirps = 128
 	rng := rand.New(rand.NewSource(1))
-	burst := sc.CaptureBurst(1.0, nChirps, pri, rng)
+	burst := captureBurst(sc, 1.0, nChirps, pri, rng)
 	pr := NewProcessor(DefaultConfig())
 	rd := rangeDoppler(pr, burst, 0, pri)
-	rd.RejectStatic(1)
-	targets := rd.DetectMoving(0.3, 4)
+	rd.rejectStatic(1)
+	targets := rd.detectMoving(0.3, 4)
 	if len(targets) == 0 {
 		t.Fatal("no moving target detected")
 	}
@@ -63,7 +64,7 @@ func TestRangeDopplerStaticRejection(t *testing.T) {
 
 	const pri = 1e-3
 	rng := rand.New(rand.NewSource(2))
-	burst := sc.CaptureBurst(0.5, 128, pri, rng)
+	burst := captureBurst(sc, 0.5, 128, pri, rng)
 	pr := NewProcessor(DefaultConfig())
 	rd := rangeDoppler(pr, burst, 0, pri)
 
@@ -74,11 +75,11 @@ func TestRangeDopplerStaticRejection(t *testing.T) {
 	if rd.At(clutterBin, center) == 0 {
 		t.Fatal("clutter missing from zero-Doppler before rejection")
 	}
-	rd.RejectStatic(1)
+	rd.rejectStatic(1)
 	if rd.At(clutterBin, center) != 0 {
 		t.Fatal("static rejection left the zero-Doppler column intact")
 	}
-	targets := rd.DetectMoving(0.3, 4)
+	targets := rd.detectMoving(0.3, 4)
 	if len(targets) == 0 {
 		t.Fatal("mover lost after static rejection")
 	}
@@ -108,11 +109,11 @@ func TestGhostSurvivesDopplerRejection(t *testing.T) {
 
 	const pri = 1e-3
 	rng := rand.New(rand.NewSource(3))
-	burst := sc.CaptureBurst(1.0, 128, pri, rng)
+	burst := captureBurst(sc, 1.0, 128, pri, rng)
 	pr := NewProcessor(DefaultConfig())
 	rd := rangeDoppler(pr, burst, 0, pri)
-	rd.RejectStatic(1)
-	targets := rd.DetectMoving(0.2, 6)
+	rd.rejectStatic(1)
+	targets := rd.detectMoving(0.2, 6)
 	ghostRange := sc.Radar.DistanceOf(tagCfg.AntennaPosition(2)) + extra
 	found := false
 	for _, tgt := range targets {
@@ -128,7 +129,7 @@ func TestGhostSurvivesDopplerRejection(t *testing.T) {
 func TestVelocityBinRoundTrip(t *testing.T) {
 	m := &RangeDopplerMap{Params: fmcw.DefaultParams(), PRI: 0.5e-3, DopplerBins: 64}
 	for _, v := range []float64{-3, -0.5, 0, 1.2, 5} {
-		if got := m.VelocityOfBin(m.BinOfVelocity(v)); math.Abs(got-v) > 1e-9 {
+		if got := m.VelocityOfBin(m.binOfVelocity(v)); math.Abs(got-v) > 1e-9 {
 			t.Fatalf("velocity %v round-trips to %v", v, got)
 		}
 	}
@@ -157,7 +158,7 @@ func TestAliasedDoppler(t *testing.T) {
 func TestRangeDopplerEmptyBurst(t *testing.T) {
 	pr := NewProcessor(DefaultConfig())
 	rd := rangeDoppler(pr, nil, 0, 1e-3)
-	if rd.DetectMoving(0.5, 4) != nil {
+	if rd.detectMoving(0.5, 4) != nil {
 		t.Fatal("empty burst should detect nothing")
 	}
 }
@@ -172,4 +173,83 @@ func rangeDoppler(pr *Processor, chirps []*fmcw.Frame, antenna int, pri float64)
 		}
 	}
 	return m
+}
+
+// captureBurst synthesizes a chirp burst for Doppler processing: nChirps
+// consecutive chirps spaced pri seconds apart starting at t0.
+func captureBurst(sc *scene.Scene, t0 float64, nChirps int, pri float64, rng *rand.Rand) []*fmcw.Frame {
+	out := make([]*fmcw.Frame, nChirps)
+	for k := range out {
+		// A nil ctx never cancels, so FrameAt cannot fail.
+		out[k], _ = sc.FrameAt(nil, t0+float64(k)*pri, rng)
+	}
+	return out
+}
+
+// binOfVelocity inverts VelocityOfBin.
+func (m *RangeDopplerMap) binOfVelocity(v float64) float64 {
+	fd := -2 * v / m.Params.Wavelength()
+	return fd*float64(m.DopplerBins)*m.PRI + float64(m.DopplerBins)/2
+}
+
+// rejectStatic zeroes the zero-Doppler ridge (±guard bins) in place,
+// returning the map — Doppler-based static-reflector rejection, the
+// alternative to background subtraction that §3 names.
+func (m *RangeDopplerMap) rejectStatic(guard int) *RangeDopplerMap {
+	if m.DopplerBins == 0 {
+		return m
+	}
+	center := m.DopplerBins / 2
+	for r := 0; r < m.RangeBins; r++ {
+		for d := center - guard; d <= center+guard; d++ {
+			if d >= 0 && d < m.DopplerBins {
+				m.Power[r*m.DopplerBins+d] = 0
+			}
+		}
+	}
+	return m
+}
+
+// movingTarget is a detection in range–Doppler space.
+type movingTarget struct {
+	Range    float64 // meters
+	Velocity float64 // m/s radial, positive approaching
+	Power    float64
+}
+
+// detectMoving extracts moving targets from a static-rejected map: 2-D
+// peaks above threshold·maxPower.
+func (m *RangeDopplerMap) detectMoving(thresholdFrac float64, maxTargets int) []movingTarget {
+	if len(m.Power) == 0 {
+		return nil
+	}
+	maxPower := 0.0
+	for _, v := range m.Power {
+		if v > maxPower {
+			maxPower = v
+		}
+	}
+	if maxPower == 0 {
+		return nil
+	}
+	peaks := dsp.FindPeaks2D(m.Power, m.RangeBins, m.DopplerBins, thresholdFrac*maxPower, 2)
+	if maxTargets > 0 && len(peaks) > maxTargets {
+		peaks = peaks[:maxTargets]
+	}
+	out := make([]movingTarget, 0, len(peaks))
+	for _, pk := range peaks {
+		rowSlice := m.Power[pk.Row*m.DopplerBins : (pk.Row+1)*m.DopplerBins]
+		dOff := dsp.QuadraticInterp(rowSlice, pk.Col)
+		col := make([]float64, m.RangeBins)
+		for r := 0; r < m.RangeBins; r++ {
+			col[r] = m.At(r, pk.Col)
+		}
+		rOff := dsp.QuadraticInterp(col, pk.Row)
+		out = append(out, movingTarget{
+			Range:    m.RangeOfBin(float64(pk.Row) + rOff),
+			Velocity: m.VelocityOfBin(float64(pk.Col) + dOff),
+			Power:    pk.Value,
+		})
+	}
+	return out
 }

@@ -148,7 +148,7 @@ func TestTrackerFollowsSingleTarget(t *testing.T) {
 	for i := range traj {
 		traj[i] = geom.Point{X: float64(i) * 0.05, Y: 2}
 	}
-	tracks := TrackDetections(TrackerConfig{}, makeDetections(traj, 0, 0.05))
+	tracks := trackDetections(TrackerConfig{}, makeDetections(traj, 0, 0.05))
 	if len(tracks) != 1 {
 		t.Fatalf("got %d tracks, want 1", len(tracks))
 	}
@@ -171,7 +171,7 @@ func TestTrackerSeparatesTwoTargets(t *testing.T) {
 			{Pos: geom.Point{X: 5 - float64(i)*0.03, Y: 4}, Time: ti},
 		}
 	}
-	tracks := TrackDetections(TrackerConfig{}, frames)
+	tracks := trackDetections(TrackerConfig{}, frames)
 	if len(tracks) != 2 {
 		t.Fatalf("got %d tracks, want 2", len(tracks))
 	}
@@ -187,7 +187,7 @@ func TestTrackerDropsAfterMisses(t *testing.T) {
 	for i := 20; i < 50; i++ {
 		frames = append(frames, []Detection{{Pos: geom.Point{X: 100, Y: 100}, Time: 0.05 * float64(i)}})
 	}
-	tracks := TrackDetections(TrackerConfig{MinTrackPoints: 5}, frames)
+	tracks := trackDetections(TrackerConfig{MinTrackPoints: 5}, frames)
 	if len(tracks) < 1 {
 		t.Fatal("original track lost entirely")
 	}
@@ -241,7 +241,7 @@ func TestEndToEndSceneTracking(t *testing.T) {
 	frames := sc.Capture(0, n, rng)
 	pr := NewProcessor(DefaultConfig())
 	detSeq := processFrames(pr, frames, sc.Radar)
-	tracks := TrackDetections(TrackerConfig{}, detSeq)
+	tracks := trackDetections(TrackerConfig{}, detSeq)
 	if len(tracks) == 0 {
 		t.Fatal("no tracks recovered")
 	}
@@ -347,4 +347,18 @@ func processFrames(pr *Processor, frames []*fmcw.Frame, array fmcw.Array) [][]De
 		out = append(out, pr.Detect(pr.RangeAngle(frames[i].Sub(frames[i-1])), array))
 	}
 	return out
+}
+
+// trackDetections feeds a detection sequence (one slice per frame, times
+// taken from the detections) through a fresh tracker and returns the
+// confirmed tracks.
+func trackDetections(cfg TrackerConfig, frames [][]Detection) []*Track {
+	tr := NewTracker(cfg)
+	for _, dets := range frames {
+		if len(dets) == 0 {
+			continue
+		}
+		tr.Observe(dets[0].Time, dets)
+	}
+	return tr.Tracks()
 }

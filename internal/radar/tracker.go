@@ -352,20 +352,6 @@ func (tr *Tracker) Tracks() []*Track {
 	return out
 }
 
-// TrackDetections is a convenience that feeds a detection sequence (one
-// slice per frame, times taken from the detections) through a fresh tracker
-// and returns the confirmed tracks.
-func TrackDetections(cfg TrackerConfig, frames [][]Detection) []*Track {
-	tr := NewTracker(cfg)
-	for _, dets := range frames {
-		if len(dets) == 0 {
-			continue
-		}
-		tr.Observe(dets[0].Time, dets)
-	}
-	return tr.Tracks()
-}
-
 // IsOscillatory reports whether a track looks like a non-human kinetic
 // reflector (a fan): small spatial extent combined with fast periodic
 // motion. The paper's threat model has the eavesdropper filter these out.

@@ -181,17 +181,6 @@ func (s *Scene) appendSpeckle(returns []fmcw.Return, rng *rand.Rand) []fmcw.Retu
 	return returns
 }
 
-// CaptureBurst synthesizes a chirp burst for Doppler processing: nChirps
-// consecutive chirps spaced pri seconds apart starting at t0.
-func (s *Scene) CaptureBurst(t0 float64, nChirps int, pri float64, rng *rand.Rand) []*fmcw.Frame {
-	out := make([]*fmcw.Frame, nChirps)
-	for k := range out {
-		// A nil ctx never cancels, so FrameAt cannot fail.
-		out[k], _ = s.FrameAt(nil, t0+float64(k)*pri, rng)
-	}
-	return out
-}
-
 // Capture synthesizes n consecutive frames starting at t0 at the params'
 // frame rate into memory. It drains a Stream, so a capture is bit-identical
 // to the frames a stream emits and consumes rng exactly as the stream does.

@@ -66,9 +66,6 @@ func NewManager(ctx context.Context, shards int) *Manager {
 	return m
 }
 
-// Shards reports the shard count.
-func (m *Manager) Shards() int { return len(m.shards) }
-
 // shardOf maps a room ID to its shard by FNV-1a.
 func (m *Manager) shardOf(id string) int {
 	h := fnv.New32a()
